@@ -36,7 +36,7 @@ from .simulator import (
     simulate,
     validate_against_bounds,
 )
-from .topology import load_topology, node_key, partition, topology_from_dict
+from .topology import load_topology, node_key, partition
 
 SCHEMA_VERSION = 1
 
@@ -52,18 +52,20 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
-def _resolve_topology(spec: str):
+def _resolve_file(spec: str, kind: str):
+    """Path of an existing file, or of the bundled ``*.<kind>.json`` fixture so named."""
     path = Path(spec)
     if path.exists():
-        return load_topology(path)
-    if spec in FIXTURE_FILES and spec.endswith(".topology.json"):
-        doc = json.loads(fixture_path(spec).read_text())
-        return topology_from_dict(doc, source=spec)
-    raise Error(
-        f"topology file {spec!r} not found (bundled fixtures: "
-        + ", ".join(n for n in FIXTURE_FILES if n.endswith(".topology.json"))
-        + ")"
-    )
+        return path
+    suffix = f".{kind}.json"
+    if spec in FIXTURE_FILES and spec.endswith(suffix):
+        return fixture_path(spec)
+    bundled = ", ".join(n for n in FIXTURE_FILES if n.endswith(suffix))
+    raise Error(f"{kind} file {spec!r} not found (bundled fixtures: {bundled})")
+
+
+def _resolve_topology(spec: str):
+    return load_topology(_resolve_file(spec, "topology"))
 
 
 def _resolve_profile(spec: str):
@@ -202,7 +204,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    slots = load_readings(args.readings)
+    slots = load_readings(_resolve_file(args.readings, "readings"))
     profile = profile_from_readings(
         round_like_paper=args.round_like_paper,
         name=args.name,

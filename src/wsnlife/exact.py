@@ -14,21 +14,24 @@ decimal form, i.e. ``0.12`` means 12/100, not the 53-bit binary neighbour.
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
+from .errors import Error
+
 Number = int | float | str | Decimal | Fraction
 
 
 def as_exact(x: Number) -> Fraction:
-    """Exact rational value of ``x``."""
+    """Exact rational value of ``x``; infinities and NaN raise ``Error``."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, (float, str, Decimal)):
         # repr() gives the shortest decimal that round-trips, which is the
         # number the user actually wrote.
-        return Fraction(Decimal(repr(x)))
-    if isinstance(x, (str, Decimal)):
-        return Fraction(Decimal(x))
+        d = Decimal(repr(x) if isinstance(x, float) else x)
+        if not d.is_finite():
+            raise Error(f"not a finite number: {x!r}")
+        return Fraction(d)
     raise TypeError(f"not a number: {x!r}")
 
 

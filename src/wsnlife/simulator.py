@@ -18,9 +18,12 @@ Three routing strategies are provided:
 * ``round-robin-parent`` also respects graph edges but cycles each node
   through its eligible parents, one per iteration.
 
-Battery drain is tracked in exact rational arithmetic so that death
-iterations match hand arithmetic instead of depending on float summation
-order.
+Battery drain is exact, so that death iterations match hand arithmetic
+instead of depending on float summation order: the per-packet energies,
+the overhead and the battery are rationals, and the run counts drain in
+integer multiples of their common denominator.  Every strategy's workload
+repeats with an exact period; one loop steps the first period, skips all
+the whole periods every node survives, and steps to the death or the cap.
 """
 
 import math
@@ -35,11 +38,6 @@ from .exact import as_exact
 from .topology import NodeId, SpherePartition, Topology, node_key
 
 STRATEGIES = ("balanced-rotating", "static-tree", "round-robin-parent")
-
-# fast-forward over whole periods is only attempted when the global workload
-# pattern repeats within this many iterations; otherwise the run steps one
-# iteration at a time (slower, same results)
-MAX_SCHEDULE_PERIOD = 5040
 
 
 class SimulationError(Error):
@@ -148,8 +146,8 @@ def build_workload(strategy: str, topology: Topology, partition: SpherePartition
 
     Returns ``(period, counts_fn)``.  ``counts_fn(i)`` maps each non-base
     node to its (receives, transmits) for iteration ``i``; the mapping is a
-    pure function of the iteration index and repeats with ``period``
-    (None when the true period exceeds MAX_SCHEDULE_PERIOD).
+    pure function of the iteration index and repeats with ``period``, the
+    exact length of the schedule.
     """
     rng = random.Random(seed)
     n_total = partition.total
@@ -173,8 +171,7 @@ def build_workload(strategy: str, topology: Topology, partition: SpherePartition
                     out[v] = (received, received + 1)
             return out
 
-        period = math.lcm(*partition.sizes[1:]) if partition.k >= 1 else 1
-        return (period if period <= MAX_SCHEDULE_PERIOD else None), counts
+        return math.lcm(*partition.sizes[1:]), counts
 
     adjacency = topology.adjacency()
 
@@ -231,8 +228,7 @@ def build_workload(strategy: str, topology: Topology, partition: SpherePartition
                 out[v] = (received[v], sends)
         return out
 
-    period = math.lcm(*(len(c) for c in rotations.values())) if rotations else 1
-    return (period if period <= MAX_SCHEDULE_PERIOD else None), counts
+    return math.lcm(*(len(c) for c in rotations.values())), counts
 
 
 def _check_partition(topology: Topology, partition: SpherePartition):
@@ -250,9 +246,10 @@ def simulate(
 ) -> SimResult:
     """Run the collection protocol until the first death or the iteration cap.
 
-    ``trace``, if given, is called as ``trace(iteration, counts)`` after each
-    completed iteration with the per-node (receives, transmits) mapping;
-    supplying it forces plain stepping instead of period fast-forwarding.
+    ``trace``, if given, is called as ``trace(iteration, counts)`` for each
+    completed iteration in order, with the per-node (receives, transmits)
+    mapping.  The calls replay the schedule after the run, so tracing does
+    not change how the run is computed.
     """
     _check_partition(topology, partition)
     period, counts_fn = build_workload(config.strategy, topology, partition, config.seed)
@@ -262,69 +259,46 @@ def simulate(
     overhead = as_exact(config.per_iteration_overhead_mj)
     battery = as_exact(config.battery_joules) * 1000  # mJ
 
+    # energy in integer units of 1/scale mJ: exact, with no Fraction in the loop
+    scale = math.lcm(*(x.denominator for x in (e_recv, e_send, overhead, battery)))
+    unit_recv, unit_send, unit_overhead, budget = (
+        int(x * scale) for x in (e_recv, e_send, overhead, battery)
+    )
+
     nodes = sorted(topology.nodes - {topology.base}, key=node_key)
-    spent = {v: Fraction(0) for v in nodes}
+    spent = [0] * len(nodes)
     cap = config.max_iterations
     completed = 0
     first_dead = None
-    cap_reached = False
+    while completed < cap:
+        counts = counts_fn(completed)
+        after = [
+            s + r * unit_recv + t * unit_send + unit_overhead
+            for s, (r, t) in zip(spent, map(counts.__getitem__, nodes))
+        ]
+        if after and max(after) > budget:
+            first_dead = next(v for v, s in zip(nodes, after) if s > budget)
+            break
+        spent = after
+        completed += 1
+        if completed == period:
+            # spent is one period's cost per node: skip the whole periods that
+            # every node survives, so death or the cap is within one period
+            whole = min([(cap - completed) // period, *((budget - s) // s for s in spent if s)])
+            spent = [s * (whole + 1) for s in spent]
+            completed += whole * period
 
-    def slot_costs(counts: dict) -> dict:
-        return {v: counts[v][0] * e_recv + counts[v][1] * e_send + overhead for v in nodes}
+    # a network of only the base station has nothing to trace, however long it runs
+    if trace is not None and nodes:
+        for i in range(completed):
+            trace(i, counts_fn(i))
 
-    if trace is None and period is not None and nodes:
-        slots = [slot_costs(counts_fn(p)) for p in range(period)]
-        period_cost = {v: sum(slot[v] for slot in slots) for v in nodes}
-        draining = [v for v in nodes if period_cost[v] > 0]
-        if not draining:
-            completed = cap
-            cap_reached = True
-        while not cap_reached and first_dead is None:
-            whole = min((battery - spent[v]) // period_cost[v] for v in draining)
-            whole = min(whole, (cap - completed) // period)
-            if whole > 0:
-                for v in nodes:
-                    spent[v] += whole * period_cost[v]
-                completed += whole * period
-            if completed >= cap:
-                cap_reached = True
-                break
-            # death (or the cap) is now at most one period away
-            for _ in range(period):
-                costs = slots[completed % period]
-                failing = [v for v in nodes if spent[v] + costs[v] > battery]
-                if failing:
-                    first_dead = failing[0]
-                    break
-                for v in nodes:
-                    spent[v] += costs[v]
-                completed += 1
-                if completed >= cap:
-                    cap_reached = True
-                    break
-    else:
-        while completed < cap and nodes:
-            counts = counts_fn(completed)
-            costs = slot_costs(counts)
-            failing = [v for v in nodes if spent[v] + costs[v] > battery]
-            if failing:
-                first_dead = failing[0]
-                break
-            for v in nodes:
-                spent[v] += costs[v]
-            if trace is not None:
-                trace(completed, counts)
-            completed += 1
-        else:
-            completed = cap
-            cap_reached = True
-
+    spent_by_node = dict(zip(nodes, spent))
     per_sphere_max = {}
     for j in range(1, partition.k + 1):
         if completed:
-            per_sphere_max[j] = float(
-                max(spent[v] / completed for v in sorted(partition.spheres[j], key=node_key))
-            )
+            top = max(spent_by_node[v] for v in partition.spheres[j])
+            per_sphere_max[j] = float(Fraction(top, scale * completed))
         else:
             per_sphere_max[j] = 0.0
 
@@ -335,8 +309,8 @@ def simulate(
         battery_joules=config.battery_joules,
         completed_iterations=completed,
         first_dead=first_dead,
-        cap_reached=cap_reached,
-        per_node_spent={v: float(spent[v]) for v in nodes},
+        cap_reached=first_dead is None,
+        per_node_spent={v: float(Fraction(s, scale)) for v, s in spent_by_node.items()},
         base_station_spent=float(completed * (partition.total - 1) * e_recv),
         per_sphere_max_iteration_energy=per_sphere_max,
     )

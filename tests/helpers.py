@@ -2,8 +2,12 @@
 
 import math
 import random
+from fractions import Fraction
 
-from wsnlife.topology import SpherePartition, Topology, canonical_edge
+from wsnlife.energy_model import receive_energy_exact, send_energy_exact
+from wsnlife.exact import as_exact
+from wsnlife.simulator import build_workload
+from wsnlife.topology import SpherePartition, Topology, canonical_edge, node_key
 
 
 def hop_distances_oracle(topology: Topology) -> dict:
@@ -49,3 +53,39 @@ def random_partition(rng: random.Random, max_total: int = 50) -> SpherePartition
         sizes.append(size)
         remaining -= size
     return SpherePartition.from_sizes(sizes)
+
+
+def reference_simulate(topology: Topology, partition: SpherePartition, model, config) -> dict:
+    """Plain stepper: one iteration at a time on Fractions, no fast-forward.
+
+    Returns the fields of ``SimResult`` that the simulator's loop decides,
+    so a faster loop can be compared against it field by field.
+    """
+    _, counts_fn = build_workload(config.strategy, topology, partition, config.seed)
+    e_recv = receive_energy_exact(model, config.payload_bytes)
+    e_send = send_energy_exact(model, config.payload_bytes)
+    overhead = as_exact(config.per_iteration_overhead_mj)
+    battery = as_exact(config.battery_joules) * 1000
+    nodes = sorted(topology.nodes - {topology.base}, key=node_key)
+    spent = {v: Fraction(0) for v in nodes}
+    cost = {}  # (receives, transmits) -> mJ, memoised for speed only
+    completed = 0
+    first_dead = None
+    while completed < config.max_iterations:
+        counts = counts_fn(completed)
+        for r, t in counts.values():
+            if (r, t) not in cost:
+                cost[r, t] = r * e_recv + t * e_send + overhead
+        after = {v: spent[v] + cost[counts[v]] for v in nodes}
+        dying = [v for v in nodes if after[v] > battery]
+        if dying:
+            first_dead = dying[0]
+            break
+        spent = after
+        completed += 1
+    return {
+        "completed_iterations": completed,
+        "first_dead": first_dead,
+        "cap_reached": first_dead is None,
+        "per_node_spent": {v: float(spent[v]) for v in nodes},
+    }

@@ -193,3 +193,23 @@ def test_output_file_option(capsys, tmp_path):
     assert out == ""
     doc = json.loads(out_path.read_text())
     assert doc["kind"] == "lifetime-bounds"
+
+
+@pytest.mark.parametrize("flag", ["--battery", "--interval"])
+def test_non_finite_number_is_an_input_error(capsys, flag):
+    code, _, err = run_cli(capsys, "bounds", FIXTURE_29, flag, "inf")
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_calibrate_accepts_bundled_readings_name(capsys):
+    code, out, _ = run_cli(capsys, "calibrate", "cc2420.readings.json", "--round-like-paper")
+    assert code == 0
+    assert json.loads(out)["m_tx"] == 0.12
+
+
+def test_calibrate_missing_readings_file(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "calibrate", str(tmp_path / "absent.readings.json"))
+    assert code == 2
+    assert "not found" in err

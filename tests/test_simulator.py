@@ -1,13 +1,15 @@
 import math
 import random
+import time
 
 import pytest
 
-from helpers import random_connected_topology
+from helpers import random_connected_topology, reference_simulate
 from wsnlife.bounds import lifetime_bounds, sphere_min_energy
-from wsnlife.fixtures import example29
+from wsnlife.fixtures import example29, layered_topology
 from wsnlife.energy_model import (
     CC2420_PAPER,
+    EnergyModel,
     build_model,
     receive_energy,
     send_energy,
@@ -90,6 +92,56 @@ def test_packet_conservation_of_every_strategy():
                     outside = n_total - part.cumulative[j]
                     assert received == outside
                     assert transmitted == outside + part.sizes[j]
+
+
+def _reference_cases():
+    """(topology, battery J, cap, overhead mJ, seed) for the reference comparison."""
+    rng = random.Random(186)
+    caps = (37, 500, 10**9)
+    for _ in range(40):
+        topo = random_connected_topology(rng, rng.randint(2, 16))
+        yield topo, rng.randint(1, 20) / 10, rng.choice(caps), rng.choice((0.0, 0.3)), rng.randrange(1000)
+    # batteries that exactly one iteration empties: a node may spend all of it
+    yield STAR, 0.00378, 10**9, 0.0, 0
+    yield CHAIN, 0.01183, 10**9, 0.0, 0
+    # layer-size lcms 5355 and 72072: schedules far longer than the other cases
+    wide = layered_topology((1, 5, 7, 9, 17))
+    for battery, overhead in ((0.5, 0.0), (400.0, 0.3)):
+        yield wide, battery, 10**9, overhead, 7
+    longest = layered_topology((1, 7, 11, 13, 9, 8))
+    for cap, overhead in ((37, 0.3), (500, 0.0)):
+        yield longest, 1000.0, cap, overhead, 11
+    yield longest, 2.5, 10**9, 0.3, 12
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_simulate_matches_plain_reference_stepper(strategy):
+    for topo, battery, cap, overhead, seed in _reference_cases():
+        part = partition(topo)
+        config = SimConfig(
+            strategy=strategy,
+            battery_joules=battery,
+            max_iterations=cap,
+            per_iteration_overhead_mj=overhead,
+            seed=seed,
+        )
+        result = simulate(topo, part, MODEL, config)
+        expected = reference_simulate(topo, part, MODEL, config)
+        assert {key: getattr(result, key) for key in expected} == expected, config
+
+
+def test_zero_energy_model_reaches_the_default_cap_quickly():
+    # nothing ever drains, so the run must skip to the cap instead of stepping
+    # 10**9 iterations of a 5355-iteration schedule one at a time
+    topo = layered_topology((1, 5, 7, 9, 17))
+    free = EnergyModel(0, 0, 0, 0, 18, 11)
+    started = time.perf_counter()
+    result = simulate(topo, partition(topo), free, SimConfig())
+    elapsed = time.perf_counter() - started
+    assert result.cap_reached
+    assert result.first_dead is None
+    assert result.completed_iterations == 10**9
+    assert elapsed < 2.0, f"took {elapsed:.2f}s"
 
 
 def test_every_node_transmits_what_it_receives_plus_its_own():
