@@ -69,14 +69,14 @@ def _resolve_topology(spec: str):
 
 
 def _resolve_profile(spec: str):
-    """Profile preset name or file path -> (RadioProfile, embedded FrameConfig | None)."""
+    """Preset, profile file or bundled file name -> (RadioProfile, embedded FrameConfig | None)."""
     if spec in PROFILE_PRESETS:
         return profile_preset(spec), None
-    path = Path(spec)
-    if path.exists():
-        return load_profile(path)
-    known = ", ".join(sorted(PROFILE_PRESETS))
-    raise Error(f"profile {spec!r} is neither a preset ({known}) nor an existing file")
+    try:
+        path = _resolve_file(spec, "profile")
+    except Error as exc:
+        raise Error(f"{exc}; profile presets: {', '.join(sorted(PROFILE_PRESETS))}") from None
+    return load_profile(path)
 
 
 def _build_model_from_args(args):

@@ -19,7 +19,13 @@ from pathlib import Path
 
 from .errors import Error
 from .exact import as_exact
-from .frame_model import FRAME_PRESETS, FrameConfig, ack_frame_length, data_frame_length
+from .frame_model import (
+    FRAME_PRESETS,
+    FrameConfig,
+    ack_frame_length,
+    check_frame_length,
+    data_frame_length,
+)
 
 DIRECTIONS = ("tx", "rx")
 
@@ -102,15 +108,20 @@ def build_model(profile: RadioProfile, frame: FrameConfig) -> EnergyModel:
     )
 
 
-def send_energy_exact(model: EnergyModel, payload_bytes: int) -> Fraction:
+def _check_payload(model: EnergyModel, payload_bytes: int) -> None:
+    """Reject a negative payload; warn if its data frame overflows the PPDU."""
     if payload_bytes < 0:
         raise ProfileError("payload_bytes must be >= 0")
+    check_frame_length(model.overhead_bytes + payload_bytes)
+
+
+def send_energy_exact(model: EnergyModel, payload_bytes: int) -> Fraction:
+    _check_payload(model, payload_bytes)
     return as_exact(model.m_send) * payload_bytes + as_exact(model.b_send)
 
 
 def receive_energy_exact(model: EnergyModel, payload_bytes: int) -> Fraction:
-    if payload_bytes < 0:
-        raise ProfileError("payload_bytes must be >= 0")
+    _check_payload(model, payload_bytes)
     return as_exact(model.m_receive) * payload_bytes + as_exact(model.b_receive)
 
 

@@ -71,12 +71,17 @@ def data_frame_length(config: FrameConfig, payload_bytes: int) -> int:
     """Full on-air length of a data frame carrying ``payload_bytes``."""
     if not isinstance(payload_bytes, int) or payload_bytes < 0:
         raise FrameConfigError("payload_bytes must be a non-negative integer")
-    total = (
+    return check_frame_length(
         FIXED_FRAME_BYTES
         + config.addressing_bytes
         + config.extra_header_bytes
         + payload_bytes
     )
+
+
+def check_frame_length(total: int) -> int:
+    """Warn with ``FrameLengthWarning`` if a ``total``-byte data frame does not
+    fit in one PPDU; returns ``total``."""
     if total > PPDU_SOFT_LIMIT:
         warnings.warn(
             f"data frame of {total} bytes exceeds the {PPDU_SOFT_LIMIT}-byte PPDU",

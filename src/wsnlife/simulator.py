@@ -21,15 +21,26 @@ Three routing strategies are provided:
 Battery drain is exact, so that death iterations match hand arithmetic
 instead of depending on float summation order: the per-packet energies,
 the overhead and the battery are rationals, and the run counts drain in
-integer multiples of their common denominator.  Every strategy's workload
-repeats with an exact period; one loop steps the first period, skips all
-the whole periods every node survives, and steps to the death or the cap.
+integer multiples of their common denominator.  Each node transmits what
+it receives plus its own packet, so its drain after t iterations is
+t * (E(send) + overhead) + R(t) * (E(receive) + E(send)), where R(t) is its
+cumulative receive count.  R repeats with the node's own period (its
+sphere's size under ``balanced-rotating``), so each node's death iteration
+is found directly: skip the whole periods its battery covers, then bisect
+within one period.  The run ends at the earliest death or the cap.
+``round-robin-parent`` has no per-node closed form, because a node's
+receives depend on the rotation state of every node upstream of it; its
+shared schedule is stepped with running counts, never past the cap or the
+first death, and at most one period before the whole periods every node
+survives are skipped.
 """
 
 import math
 import random
+from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .bounds import BoundsReport
 from .energy_model import EnergyModel, receive_energy_exact, send_energy_exact
@@ -141,23 +152,61 @@ def _shuffled(items, rng: random.Random) -> list:
     return out
 
 
-def build_workload(strategy: str, topology: Topology, partition: SpherePartition, seed: int):
-    """Per-iteration packet counts for every battery node.
+class Schedule(NamedTuple):
+    """One battery node's share of the workload.
 
-    Returns ``(period, counts_fn)``.  ``counts_fn(i)`` maps each non-base
-    node to its (receives, transmits) for iteration ``i``; the mapping is a
-    pure function of the iteration index and repeats with ``period``, the
-    exact length of the schedule.
+    ``received(t)`` is the number of packets the node receives over
+    iterations ``[0, t)``, for ``0 <= t <= period``, and the node's workload
+    repeats every ``period`` iterations.  Each iteration the node transmits
+    what it receives plus its own packet.  ``received`` is None when the
+    count has no closed form and the workload must be stepped.
+    """
+
+    period: int
+    received: Callable[[int], int] | None
+
+
+def _rotating_schedule(size: int, inflow: int, pos: int) -> Schedule:
+    """Schedule of the node at ``pos`` of a ``balanced-rotating`` sphere.
+
+    Iteration ``i`` brings the node ``share`` packets, plus one more when
+    ``i % size`` lies in the cyclic window of ``remainder`` offsets that
+    ends at ``pos``: ``[start, start + remainder)``, which runs past
+    ``size`` into ``[0, tail)`` when ``wrap`` is 1.
+    """
+    share, remainder = divmod(inflow, size)
+    start = (pos - remainder + 1) % size
+    wrap, tail = divmod(start + remainder, size)
+
+    def received(t: int) -> int:
+        return (share + wrap) * t + min(tail, t) - min(start, t)
+
+    return Schedule(size, received)
+
+
+def build_workload(strategy: str, topology: Topology, partition: SpherePartition, seed: int):
+    """Per-node schedules and per-iteration packet counts of a strategy.
+
+    Returns ``(schedules, counts_fn)``.  ``schedules`` maps each battery
+    node to its ``Schedule``, whose period is 1 under ``static-tree``, the
+    size of the node's sphere under ``balanced-rotating``, and the lcm of
+    all parent-candidate counts under ``round-robin-parent``, whose
+    schedules have no ``received`` count.  ``counts_fn(i)`` maps each
+    battery node to its (receives, transmits) for iteration ``i``; it is a
+    pure function of the iteration index.
     """
     rng = random.Random(seed)
     n_total = partition.total
 
     if strategy == "balanced-rotating":
         layers = []  # (members, inflow) per sphere 1..k
+        schedules = {}
         for j in range(1, partition.k + 1):
             members = _shuffled(partition.spheres[j], rng)
             inflow = n_total - partition.cumulative[j]
             layers.append((members, inflow))
+            for pos, v in enumerate(members):
+                schedules[v] = _rotating_schedule(len(members), inflow, pos)
 
         def counts(iteration: int) -> dict:
             out = {}
@@ -171,7 +220,7 @@ def build_workload(strategy: str, topology: Topology, partition: SpherePartition
                     out[v] = (received, received + 1)
             return out
 
-        return math.lcm(*partition.sizes[1:]), counts
+        return schedules, counts
 
     adjacency = topology.adjacency()
 
@@ -200,7 +249,8 @@ def build_workload(strategy: str, topology: Topology, partition: SpherePartition
         def counts(iteration: int) -> dict:
             return static
 
-        return 1, counts
+        # received(t) = receives * t, for t in {0, 1}
+        return {v: Schedule(1, r.__mul__) for v, (r, _) in static.items()}, counts
 
     # round-robin-parent
     rotations = {}  # node -> shuffled candidate list
@@ -228,7 +278,46 @@ def build_workload(strategy: str, topology: Topology, partition: SpherePartition
                 out[v] = (received[v], sends)
         return out
 
-    return math.lcm(*(len(c) for c in rotations.values())), counts
+    # receives depend on the whole rotation state, so every node shares the
+    # global period and `simulate` steps `counts`
+    period = math.lcm(*(len(c) for c in rotations.values()))
+    return {v: Schedule(period, None) for v in rotations}, counts
+
+
+def _step_shared_schedule(counts_fn, nodes, period, cap, budget, drain):
+    """Step a workload that every node shares to its first death or the cap.
+
+    Returns ``(completed, received, first_dead)``, where ``received`` maps
+    each node to its receive count over ``[0, completed)``.  The first
+    period is stepped to its end, the first death or the cap.  If every
+    node outlives it, the whole periods that all nodes survive are skipped
+    and only the period that holds the death or the cap is stepped again.
+    So at most twice min(period, cap, death + 1) iterations are stepped,
+    with a running count per node.
+    """
+
+    def step(whole: int, per_period: dict):
+        start = whole * period
+        received = {v: whole * per_period[v] for v in nodes}
+        for i in range(start, min(start + period, cap)):
+            counts = counts_fn(i)
+            after = {v: received[v] + counts[v][0] for v in nodes}
+            # nodes are in node_key order, so the first overrun is first_dead
+            dead = next((v for v in nodes if drain(i + 1, after[v]) > budget), None)
+            if dead is not None:
+                return i, received, dead
+            received = after
+        return min(start + period, cap), received, None
+
+    completed, received, first_dead = step(0, dict.fromkeys(nodes, 0))
+    if first_dead is None and completed < cap:
+        whole = cap // period
+        for v in nodes:
+            per_period = drain(period, received[v])
+            if per_period:
+                whole = min(whole, budget // per_period)
+        completed, received, first_dead = step(whole, received)
+    return completed, received, first_dead
 
 
 def _check_partition(topology: Topology, partition: SpherePartition):
@@ -246,59 +335,83 @@ def simulate(
 ) -> SimResult:
     """Run the collection protocol until the first death or the iteration cap.
 
+    Each battery node's death iteration comes from its ``Schedule`` alone,
+    with O(log period) evaluations of its receive count.  Schedules with no
+    receive count (``round-robin-parent``) are stepped together instead, at
+    most twice min(period, cap, first death) iterations.  Among the nodes
+    that die first, the one with the smallest ``node_key`` is ``first_dead``.
+
     ``trace``, if given, is called as ``trace(iteration, counts)`` for each
     completed iteration in order, with the per-node (receives, transmits)
     mapping.  The calls replay the schedule after the run, so tracing does
     not change how the run is computed.
     """
     _check_partition(topology, partition)
-    period, counts_fn = build_workload(config.strategy, topology, partition, config.seed)
+    schedules, counts_fn = build_workload(config.strategy, topology, partition, config.seed)
 
     e_recv = receive_energy_exact(model, config.payload_bytes)
     e_send = send_energy_exact(model, config.payload_bytes)
     overhead = as_exact(config.per_iteration_overhead_mj)
     battery = as_exact(config.battery_joules) * 1000  # mJ
 
-    # energy in integer units of 1/scale mJ: exact, with no Fraction in the loop
+    # energy in integer units of 1/scale mJ: exact, with no Fraction in the
+    # core; int / int is correctly rounded, so reports equal float(Fraction)
     scale = math.lcm(*(x.denominator for x in (e_recv, e_send, overhead, battery)))
     unit_recv, unit_send, unit_overhead, budget = (
         int(x * scale) for x in (e_recv, e_send, overhead, battery)
     )
 
-    nodes = sorted(topology.nodes - {topology.base}, key=node_key)
-    spent = [0] * len(nodes)
+    # each iteration costs a node its own packet and the overhead, plus a
+    # receive and a send for every packet it relays
+    unit_own = unit_send + unit_overhead
+    unit_relay = unit_recv + unit_send
+
+    def drain(t: int, received: int) -> int:
+        """Units spent over t iterations by a node that received ``received`` packets."""
+        return t * unit_own + received * unit_relay
+
+    def cost(schedule: Schedule, t: int) -> int:
+        whole, rest = divmod(t, schedule.period)
+        return drain(t, whole * schedule.received(schedule.period) + schedule.received(rest))
+
     cap = config.max_iterations
-    completed = 0
-    first_dead = None
-    while completed < cap:
-        counts = counts_fn(completed)
-        after = [
-            s + r * unit_recv + t * unit_send + unit_overhead
-            for s, (r, t) in zip(spent, map(counts.__getitem__, nodes))
-        ]
-        if after and max(after) > budget:
-            first_dead = next(v for v, s in zip(nodes, after) if s > budget)
-            break
-        spent = after
-        completed += 1
-        if completed == period:
-            # spent is one period's cost per node: skip the whole periods that
-            # every node survives, so death or the cap is within one period
-            whole = min([(cap - completed) // period, *((budget - s) // s for s in spent if s)])
-            spent = [s * (whole + 1) for s in spent]
-            completed += whole * period
+
+    def lifetime(schedule: Schedule) -> int:
+        """Iterations the node completes before its battery runs out, at most cap."""
+        period, received = schedule
+        per_period = drain(period, received(period))
+        if not per_period:
+            return cap
+        whole, left = divmod(budget, per_period)
+        # offset 0 always fits what is left and offset `period` never does, so
+        # the death offset is the number of offsets in [1, period) that fit
+        offsets = range(1, period)
+        fits = bisect_right(offsets, left, key=lambda r: drain(r, received(r)))
+        return min(cap, whole * period + fits)
+
+    nodes = sorted(topology.nodes - {topology.base}, key=node_key)
+    if any(schedules[v].received is None for v in nodes):
+        period = schedules[nodes[0]].period
+        completed, received, first_dead = _step_shared_schedule(
+            counts_fn, nodes, period, cap, budget, drain
+        )
+        spent_by_node = {v: drain(completed, received[v]) for v in nodes}
+    else:
+        lifetimes = [lifetime(schedules[v]) for v in nodes]
+        completed = min(lifetimes, default=cap)
+        first_dead = next((v for v, t in zip(nodes, lifetimes) if t == completed < cap), None)
+        spent_by_node = {v: cost(schedules[v], completed) for v in nodes}
 
     # a network of only the base station has nothing to trace, however long it runs
     if trace is not None and nodes:
         for i in range(completed):
             trace(i, counts_fn(i))
 
-    spent_by_node = dict(zip(nodes, spent))
     per_sphere_max = {}
     for j in range(1, partition.k + 1):
         if completed:
             top = max(spent_by_node[v] for v in partition.spheres[j])
-            per_sphere_max[j] = float(Fraction(top, scale * completed))
+            per_sphere_max[j] = top / (scale * completed)
         else:
             per_sphere_max[j] = 0.0
 
@@ -310,8 +423,8 @@ def simulate(
         completed_iterations=completed,
         first_dead=first_dead,
         cap_reached=first_dead is None,
-        per_node_spent={v: float(Fraction(s, scale)) for v, s in spent_by_node.items()},
-        base_station_spent=float(completed * (partition.total - 1) * e_recv),
+        per_node_spent={v: s / scale for v, s in spent_by_node.items()},
+        base_station_spent=completed * (partition.total - 1) * unit_recv / scale,
         per_sphere_max_iteration_energy=per_sphere_max,
     )
 

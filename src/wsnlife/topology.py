@@ -48,9 +48,20 @@ class Topology:
     base: NodeId
 
     def __post_init__(self):
-        nodes = frozenset(self.nodes)
+        ids = list(self.nodes)  # as given: a set would already merge 1 and True
+        nodes = frozenset(ids)
         if not nodes:
             raise EmptyTopology("topology has no nodes")
+        kinds = set(map(type, ids))
+        if bool in kinds or isinstance(self.base, bool):
+            raise TopologyError("node ids must be strings or integers, not booleans")
+        if len(kinds) > 1:  # ids of one type print alike only if equal: a clash needs 1 and "1"
+            by_key = {}
+            for v in ids:
+                first = by_key.setdefault(node_key(v), v)
+                if first != v:
+                    key = node_key(v)
+                    raise TopologyError(f"node ids {first!r} and {v!r} share the key {key!r}")
         canon = set()
         for edge in self.edges:
             a, b = edge
@@ -198,7 +209,7 @@ def topology_from_dict(doc: dict, source: str = "<topology>") -> Topology:
             raise TopologyError(f"{source}: duplicate edge {list(canon)}")
         seen.add(canon)
         edges.append(canon)
-    return Topology(nodes=frozenset(nodes), edges=frozenset(edges), base=doc["base"])
+    return Topology(nodes=nodes, edges=frozenset(edges), base=doc["base"])
 
 
 def load_topology(path) -> Topology:

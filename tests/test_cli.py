@@ -1,11 +1,13 @@
 import json
 import shutil
+import warnings
 
 import pytest
 
 from wsnlife.cli import main
 from wsnlife.energy_model import CC2420_PAPER, load_profile
 from wsnlife.fixtures import fixture_path
+from wsnlife.frame_model import FrameLengthWarning
 from wsnlife.topology import save_topology, Topology
 
 
@@ -76,6 +78,34 @@ def test_bounds_unknown_profile(capsys):
     code, _, err = run_cli(capsys, "bounds", FIXTURE_29, "--profile", "cc9999")
     assert code == 2
     assert "cc2420-paper" in err
+
+
+def test_bounds_accepts_bundled_profile_name(capsys):
+    by_preset = run_cli(capsys, "bounds", FIXTURE_29, "--profile", "cc2420-paper")
+    by_file = run_cli(capsys, "bounds", FIXTURE_29, "--profile", "cc2420-paper.profile.json")
+    assert by_file == by_preset
+    assert by_file[0] == 0
+
+
+def test_bounds_warns_when_the_payload_overflows_the_ppdu(capsys):
+    with pytest.warns(FrameLengthWarning, match="218 bytes"):  # 18 + 200
+        code, _, _ = run_cli(capsys, "bounds", FIXTURE_29, "--payload", "200")
+    assert code == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, _ = run_cli(capsys, "bounds", FIXTURE_29, "--payload", "115")  # 133 bytes fit
+    assert code == 0
+
+
+def test_node_ids_sharing_a_key_are_an_input_error(capsys, tmp_path):
+    path = tmp_path / "clash.topology.json"
+    path.write_text(json.dumps({
+        "nodes": ["B", 1, "1"], "edges": [["B", 1], ["B", "1"]], "base": "B",
+    }))
+    code, out, err = run_cli(capsys, "simulate", str(path), "--format", "structured")
+    assert code == 2
+    assert out == ""
+    assert "share the key '1'" in err
 
 
 def test_simulate_structured_with_verdict(capsys, tmp_path):

@@ -94,6 +94,20 @@ def test_packet_conservation_of_every_strategy():
                     assert transmitted == outside + part.sizes[j]
 
 
+def _rotation_topology(candidate_counts):
+    """Base, one inner sphere, and one outer node per count wired to that many inner nodes."""
+    inner = [f"a{i:02d}" for i in range(max(candidate_counts))]
+    outer = [f"b{i}" for i in range(len(candidate_counts))]
+    edges = {("B", a) for a in inner}
+    for b, count in zip(outer, candidate_counts):
+        edges |= {(a, b) for a in inner[:count]}
+    return make({"B", *inner, *outer}, edges, "B")
+
+
+# parent-candidate counts whose lcm, 30 808 063, is the round-robin period
+LONG_ROTATION = _rotation_topology((11, 13, 17, 19, 23, 29))
+
+
 def _reference_cases():
     """(topology, battery J, cap, overhead mJ, seed) for the reference comparison."""
     rng = random.Random(186)
@@ -112,6 +126,32 @@ def _reference_cases():
     for cap, overhead in ((37, 0.3), (500, 0.0)):
         yield longest, 1000.0, cap, overhead, 11
     yield longest, 2.5, 10**9, 0.3, 12
+    # random layerings whose batteries last several sphere sizes but less than
+    # their lcm, where a node's own period and the global one differ; padding
+    # the outer layer makes an inner sphere's inflow divide evenly
+    e_recv, e_send = receive_energy(MODEL, 2), send_energy(MODEL, 2)
+    made = 0
+    while made < 8:
+        sizes = [1] + [rng.randint(2, 9) for _ in range(rng.randint(2, 4))]
+        j = rng.randrange(1, len(sizes) - 1)
+        sizes[-1] += -sum(sizes[j + 1:]) % sizes[j]
+        longest_layer, span = max(sizes), min(math.lcm(*sizes[1:]) - 1, 400)
+        if 3 * longest_layer >= span:
+            continue
+        part = SpherePartition.from_sizes(sizes)
+        busiest = max(sphere_min_energy(part, i, e_recv, e_send) for i in range(1, part.k + 1))
+        iterations = rng.randint(3 * longest_layer, span)
+        battery = round(iterations * busiest) / 1000  # whole mJ: lasts at most `iterations`
+        yield layered_topology(sizes), battery, 10**9, rng.choice((0.0, 0.3)), rng.randrange(1000)
+        made += 1
+    # round-robin periods: 30 808 063 ended inside the first period by the cap
+    # and by a death, and 210 ended by a death after several periods and by
+    # caps one past the first period and after several
+    for overhead in (0.0, 0.3):
+        yield LONG_ROTATION, 30780.0, 10, overhead, 4
+        yield LONG_ROTATION, 0.05, 10**9, overhead, 4
+        for cap in (10**9, 211, 1000):
+            yield _rotation_topology((2, 3, 5, 7)), 20.0, cap, overhead, 4
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -142,6 +182,29 @@ def test_zero_energy_model_reaches_the_default_cap_quickly():
     assert result.first_dead is None
     assert result.completed_iterations == 10**9
     assert elapsed < 2.0, f"took {elapsed:.2f}s"
+
+
+def test_long_global_period_is_not_stepped():
+    # layer-size lcm 72072: the death comes from per-node schedules, where
+    # stepping one to two global periods took more than 2 s
+    topo = layered_topology((1, 7, 11, 13, 9, 8))
+    started = time.perf_counter()
+    result = simulate(topo, partition(topo), MODEL, SimConfig())
+    elapsed = time.perf_counter() - started
+    assert result.completed_iterations == 604358
+    assert result.first_dead == "n01"
+    assert elapsed < 1.0, f"took {elapsed:.2f}s"
+
+
+def test_round_robin_stops_at_the_cap_of_a_long_rotation_period():
+    # stepping or tabulating the whole 30 808 063-iteration period would take
+    # minutes and gigabytes; ten iterations must cost ten steps
+    started = time.perf_counter()
+    result, _, _ = run(LONG_ROTATION, strategy="round-robin-parent", max_iterations=10)
+    elapsed = time.perf_counter() - started
+    assert result.completed_iterations == 10
+    assert result.cap_reached
+    assert elapsed < 0.5, f"took {elapsed:.2f}s"
 
 
 def test_every_node_transmits_what_it_receives_plus_its_own():

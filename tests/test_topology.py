@@ -115,6 +115,16 @@ def test_bad_edges_rejected():
         make({"a", "b"}, {("a", "b")}, "B")
 
 
+def test_node_ids_must_keep_distinct_keys():
+    # 1 and "1" print alike, and True == 1 would merge two nodes into one
+    with pytest.raises(TopologyError, match="share the key"):
+        make({"B", 1, "1"}, {("B", 1), ("B", "1")}, "B")
+    with pytest.raises(TopologyError, match="boolean"):
+        topology_from_dict({"nodes": ["B", 1, True], "edges": [["B", 1]], "base": "B"})
+    with pytest.raises(TopologyError, match="boolean"):
+        make({0, 1}, {(0, 1)}, False)
+
+
 def test_from_spheres_rejects_overlap_and_empty():
     with pytest.raises(TopologyError, match="overlaps"):
         SpherePartition.from_spheres([{"B"}, {"a", "B"}])
