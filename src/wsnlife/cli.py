@@ -9,7 +9,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -243,11 +242,14 @@ def _parse_seeds(spec: str):
     seeds = []
     for chunk in spec.split(","):
         chunk = chunk.strip()
-        if ".." in chunk:
-            first, last = chunk.split("..", 1)
-            seeds.extend(range(int(first), int(last) + 1))
-        elif chunk:
-            seeds.append(int(chunk))
+        try:
+            if ".." in chunk:
+                first, last = chunk.split("..", 1)
+                seeds.extend(range(int(first), int(last) + 1))
+            elif chunk:
+                seeds.append(int(chunk))
+        except ValueError:
+            raise Error(f"bad seed {chunk!r} in {spec!r} (expected integers or a..b ranges)") from None
     if not seeds:
         raise Error(f"no seeds in {spec!r}")
     return seeds
@@ -276,6 +278,9 @@ def cmd_sweep(args) -> int:
             jobs.append((topo, part, model, config, args.interval))
 
     if args.jobs > 1:
+        # imported here: loading multiprocessing costs every other command about 20 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_worker, jobs))
     else:
@@ -398,6 +403,9 @@ def main(argv=None) -> int:
     except Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect, not bad input: keep exit 1 for bound violations
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

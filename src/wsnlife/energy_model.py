@@ -14,6 +14,7 @@ per exchange.
 
 import json
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,6 +33,13 @@ DIRECTIONS = ("tx", "rx")
 
 class ProfileError(Error):
     pass
+
+
+def _check_energy(what: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float, Decimal, Fraction)):
+        raise ProfileError(f"{what} must be a number, got {value!r}")
+    if value < 0:
+        raise ProfileError(f"{what} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -53,16 +61,14 @@ class RadioProfile:
 
     def __post_init__(self):
         for attr in ("m_tx", "m_rx", "e_cca", "e_listen"):
-            if getattr(self, attr) < 0:
-                raise ProfileError(f"{attr} must be >= 0")
+            _check_energy(attr, getattr(self, attr))
         for key, value in self.block_overrides.items():
             direction, nbytes = key
             if direction not in DIRECTIONS:
                 raise ProfileError(f"block override direction must be tx or rx, got {direction!r}")
             if not isinstance(nbytes, int) or nbytes <= 0:
                 raise ProfileError(f"block override byte count must be a positive integer, got {nbytes!r}")
-            if value < 0:
-                raise ProfileError(f"block override energy for {key} must be >= 0")
+            _check_energy(f"block override energy for {key}", value)
 
     def block_cost_exact(self, direction: str, nbytes: int) -> Fraction:
         override = self.block_overrides.get((direction, nbytes))
@@ -184,15 +190,21 @@ _FRAME_FIELDS = {
 }
 
 
+def _object(value, what: str, source: str) -> dict:
+    if not isinstance(value, dict):
+        raise ProfileError(f"{source}: {what!r} must be an object")
+    return value
+
+
 def _frame_from_dict(doc: dict, source: str) -> FrameConfig:
-    unknown = set(doc) - _FRAME_FIELDS
+    unknown = set(_object(doc, "frame", source)) - _FRAME_FIELDS
     if unknown:
         raise ProfileError(f"{source}: unknown frame fields: {', '.join(sorted(unknown))}")
     if "preset" in doc:
         if len(doc) != 1:
             raise ProfileError(f"{source}: frame preset cannot be combined with explicit fields")
         preset = doc["preset"]
-        if preset not in FRAME_PRESETS:
+        if not isinstance(preset, str) or preset not in FRAME_PRESETS:
             raise ProfileError(f"{source}: unknown frame preset {preset!r}")
         return FRAME_PRESETS[preset]
     return FrameConfig(**doc)
@@ -208,12 +220,17 @@ def profile_from_dict(doc: dict, source: str = "<profile>"):
     for required in ("m_tx", "m_rx", "e_cca", "e_listen"):
         if required not in doc:
             raise ProfileError(f"{source}: missing field {required!r}")
+    if not isinstance(doc.get("name", ""), str):
+        raise ProfileError(f"{source}: 'name' must be a string")
     overrides = {}
-    for direction, blocks in doc.get("block_overrides", {}).items():
+    for direction, blocks in _object(doc.get("block_overrides", {}), "block_overrides", source).items():
         if direction not in DIRECTIONS:
             raise ProfileError(f"{source}: block override direction must be tx or rx")
-        for nbytes, energy in blocks.items():
-            overrides[(direction, int(nbytes))] = energy
+        for nbytes, energy in _object(blocks, f"block_overrides.{direction}", source).items():
+            try:
+                overrides[(direction, int(nbytes))] = energy
+            except ValueError:
+                raise ProfileError(f"{source}: block override byte count {nbytes!r} is not an integer") from None
     profile = RadioProfile(
         m_tx=doc["m_tx"],
         m_rx=doc["m_rx"],

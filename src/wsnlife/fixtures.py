@@ -2,7 +2,7 @@
 
 from importlib import resources
 
-from .topology import Topology, canonical_edge
+from .topology import Topology
 
 FIXTURE_FILES = (
     "example-29node.topology.json",
@@ -32,14 +32,14 @@ def layered_topology(sizes, base="base", parent_links=2) -> Topology:
             layer.append(f"n{counter:02d}")
             counter += 1
         layers.append(layer)
-    edges = set()
+    edges = []
     for i in range(1, len(layers)):
         prev = layers[i - 1]
         for j, v in enumerate(layers[i]):
             for t in range(min(parent_links, len(prev))):
-                edges.add(canonical_edge(v, prev[(j + t) % len(prev)]))
-    nodes = frozenset(v for layer in layers for v in layer)
-    return Topology(nodes=nodes, edges=frozenset(edges), base=base)
+                edges.append((v, prev[(j + t) % len(prev)]))
+    nodes = [v for layer in layers for v in layer]
+    return Topology(nodes=nodes, edges=edges, base=base)
 
 
 def example29() -> Topology:

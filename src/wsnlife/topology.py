@@ -11,6 +11,7 @@ from pathlib import Path
 from .errors import Error
 
 NodeId = str | int
+_ID_TYPES = {str, int}  # exact types: bool and float ids compare equal to ints
 
 
 class TopologyError(Error):
@@ -25,7 +26,7 @@ class UnreachableNode(TopologyError):
     """Some node has no path to the base station."""
 
     def __init__(self, nodes):
-        self.nodes = tuple(nodes)
+        self.nodes = tuple(sorted(nodes, key=node_key))
         names = ", ".join(node_key(v) for v in self.nodes)
         super().__init__(f"no path to the base station from: {names}")
 
@@ -36,25 +37,27 @@ def node_key(node: NodeId) -> str:
 
 
 def canonical_edge(a: NodeId, b: NodeId) -> tuple[NodeId, NodeId]:
-    return tuple(sorted((a, b), key=node_key))
+    """The pair in ``node_key`` order, the one stored form of an undirected edge."""
+    return (a, b) if node_key(a) <= node_key(b) else (b, a)
 
 
 @dataclass(frozen=True)
 class Topology:
-    """Undirected node graph with a designated base station."""
+    """Undirected graph with a base station; construction checks every id and edge once."""
 
     nodes: frozenset
     edges: frozenset
     base: NodeId
 
     def __post_init__(self):
-        ids = list(self.nodes)  # as given: a set would already merge 1 and True
-        nodes = frozenset(ids)
-        if not nodes:
+        ids = list(self.nodes)  # as given: a set would already merge 1, 1.0 and True
+        if not ids:
             raise EmptyTopology("topology has no nodes")
         kinds = set(map(type, ids))
-        if bool in kinds or isinstance(self.base, bool):
-            raise TopologyError("node ids must be strings or integers, not booleans")
+        kinds.add(type(self.base))
+        if not kinds <= _ID_TYPES:
+            bad = next(v for v in (*ids, self.base) if type(v) not in _ID_TYPES)
+            raise TopologyError(f"node ids must be strings or integers, not booleans or floats: {bad!r}")
         if len(kinds) > 1:  # ids of one type print alike only if equal: a clash needs 1 and "1"
             by_key = {}
             for v in ids:
@@ -62,19 +65,22 @@ class Topology:
                 if first != v:
                     key = node_key(v)
                     raise TopologyError(f"node ids {first!r} and {v!r} share the key {key!r}")
-        canon = set()
-        for edge in self.edges:
-            a, b = edge
-            if a == b:
-                raise TopologyError(f"self-loop on node {node_key(a)!r}")
-            for v in (a, b):
-                if v not in nodes:
-                    raise TopologyError(f"edge endpoint {node_key(v)!r} is not a node")
-            canon.add(canonical_edge(a, b))
+        nodes = frozenset(ids)
         if self.base not in nodes:
             raise TopologyError(f"base station {node_key(self.base)!r} is not a node")
+        edges = set()
+        for a, b in self.edges:
+            for v in (a, b):
+                if type(v) not in _ID_TYPES or v not in nodes:
+                    raise TopologyError(f"edge endpoint {v!r} is not a node")
+            if a == b:
+                raise TopologyError(f"self-loop on node {node_key(a)!r}")
+            edge = canonical_edge(a, b)
+            if edge in edges:
+                raise TopologyError(f"duplicate edge {list(edge)}")
+            edges.add(edge)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", frozenset(canon))
+        object.__setattr__(self, "edges", frozenset(edges))
 
     def adjacency(self) -> dict:
         adj = {v: set() for v in self.nodes}
@@ -86,7 +92,7 @@ class Topology:
     def to_dict(self) -> dict:
         return {
             "nodes": sorted(self.nodes, key=node_key),
-            "edges": sorted([list(e) for e in self.edges]),
+            "edges": sorted([list(e) for e in self.edges], key=lambda e: list(map(node_key, e))),
             "base": self.base,
         }
 
@@ -161,25 +167,22 @@ def partition(topology: Topology) -> SpherePartition:
     Raises UnreachableNode if the graph is disconnected: every analysis in
     this package assumes all nodes route to the base.
     """
-    if not topology.nodes:
-        raise EmptyTopology("topology has no nodes")
     adj = topology.adjacency()
     reached = {topology.base}
-    layers = [[topology.base]]
+    layers = []
     frontier = [topology.base]
     while frontier:
+        layers.append(frontier)
         nxt = []
-        for v in sorted(frontier, key=node_key):
-            for u in sorted(adj[v], key=node_key):
+        for v in frontier:
+            for u in adj[v]:
                 if u not in reached:
                     reached.add(u)
                     nxt.append(u)
-        if nxt:
-            layers.append(nxt)
         frontier = nxt
     missing = topology.nodes - reached
     if missing:
-        raise UnreachableNode(sorted(missing, key=node_key))
+        raise UnreachableNode(missing)
     return SpherePartition.from_spheres(layers)
 
 
@@ -199,17 +202,13 @@ def topology_from_dict(doc: dict, source: str = "<topology>") -> Topology:
     nodes = doc["nodes"]
     if not isinstance(nodes, list):
         raise TopologyError(f"{source}: 'nodes' must be a list")
-    edges = []
-    seen = set()
-    for i, pair in enumerate(doc["edges"]):
+    edges = doc["edges"]
+    if not isinstance(edges, list):
+        raise TopologyError(f"{source}: 'edges' must be a list")
+    for i, pair in enumerate(edges):
         if not isinstance(pair, list) or len(pair) != 2:
             raise TopologyError(f"{source}: edge {i} must be a two-element list")
-        canon = canonical_edge(pair[0], pair[1])
-        if canon in seen:
-            raise TopologyError(f"{source}: duplicate edge {list(canon)}")
-        seen.add(canon)
-        edges.append(canon)
-    return Topology(nodes=nodes, edges=frozenset(edges), base=doc["base"])
+    return Topology(nodes=nodes, edges=edges, base=doc["base"])
 
 
 def load_topology(path) -> Topology:

@@ -1,9 +1,13 @@
 import json
 import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import wsnlife.cli
 from wsnlife.cli import main
 from wsnlife.energy_model import CC2420_PAPER, load_profile
 from wsnlife.fixtures import fixture_path
@@ -106,6 +110,70 @@ def test_node_ids_sharing_a_key_are_an_input_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "share the key '1'" in err
+
+
+@pytest.mark.parametrize(
+    "nodes, edges",
+    [
+        (["B", 1, 1.0, "x"], [["B", 1], ["B", "x"]]),
+        (["B", [1]], []),
+        (["B", 1], [["B", 1.0]]),
+        (["B", 1], [["B", True]]),
+    ],
+    ids=["float-id", "list-id", "float-endpoint", "boolean-endpoint"],
+)
+def test_ids_that_are_not_strings_or_integers_are_an_input_error(capsys, tmp_path, nodes, edges):
+    path = tmp_path / "bad.topology.json"
+    path.write_text(json.dumps({"nodes": nodes, "edges": edges, "base": "B"}))
+    code, out, err = run_cli(capsys, "partition", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["m_tx", "e_listen", "block_overrides"])
+@pytest.mark.parametrize("value", ["0.12", True, None, [0.12]], ids=["str", "bool", "null", "list"])
+def test_non_numeric_profile_energy_is_an_input_error(capsys, tmp_path, field, value):
+    doc = json.loads(fixture_path("cc2420-paper.profile.json").read_text())
+    if field == "block_overrides":
+        doc[field]["tx"]["11"] = value
+    else:
+        doc[field] = value
+    path = tmp_path / "bad.profile.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "bounds", FIXTURE_29, "--profile", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "must be a number" in err
+
+
+@pytest.mark.parametrize("seeds", ["a..b", "1..x", "0,y"])
+def test_malformed_seeds_are_an_input_error(capsys, seeds):
+    code, out, err = run_cli(capsys, "sweep", FIXTURE_29, "--battery", "1", "--seeds", seeds)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad seed")
+
+
+def test_unexpected_exception_is_an_internal_error_not_exit_1(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(wsnlife.cli, "cmd_partition", broken)
+    code, out, err = run_cli(capsys, "partition", FIXTURE_29)
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    src = Path(wsnlife.__file__).resolve().parent.parent
+    probe = "import sys, wsnlife.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], cwd=src, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_simulate_structured_with_verdict(capsys, tmp_path):

@@ -124,6 +124,17 @@ def test_profile_document_validation():
         profile_from_dict({"m_tx": 0, "m_rx": 0, "e_cca": 0, "e_listen": 0, "watts": 1})
     with pytest.raises(ProfileError, match="missing field"):
         profile_from_dict({"m_tx": 0, "m_rx": 0, "e_cca": 0})
+    zero = {"m_tx": 0, "m_rx": 0, "e_cca": 0, "e_listen": 0}
+    for field, value, message in (
+        ("name", 5, "'name' must be a string"),
+        ("block_overrides", 5, "'block_overrides' must be an object"),
+        ("block_overrides", {"tx": [1.3]}, "'block_overrides.tx' must be an object"),
+        ("block_overrides", {"tx": {"x": 1.3}}, "byte count 'x' is not an integer"),
+        ("frame", 5, "'frame' must be an object"),
+        ("frame", {"preset": ["paper-tinyos"]}, "unknown frame preset"),
+    ):
+        with pytest.raises(ProfileError, match=message):
+            profile_from_dict({**zero, field: value})
 
 
 def test_profile_document_embedded_frame():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import wsnlife.topology
 from helpers import hop_distances_oracle, random_connected_topology
 from wsnlife.fixtures import example29, fixture_path, layered_topology
 from wsnlife.topology import (
@@ -11,6 +12,7 @@ from wsnlife.topology import (
     Topology,
     TopologyError,
     UnreachableNode,
+    canonical_edge,
     load_topology,
     partition,
     save_topology,
@@ -113,6 +115,13 @@ def test_bad_edges_rejected():
         make({"B", "a"}, {("a", "ghost")}, "B")
     with pytest.raises(TopologyError, match="base station"):
         make({"a", "b"}, {("a", "b")}, "B")
+    with pytest.raises(TopologyError, match="duplicate edge"):
+        make({"B", "a"}, {("B", "a"), ("a", "B")}, "B")
+    # 1.0 and True equal the node 1 but are not ids
+    with pytest.raises(TopologyError, match="endpoint 1.0 is not a node"):
+        make({"B", 1}, {("B", 1.0)}, "B")
+    with pytest.raises(TopologyError, match="endpoint True is not a node"):
+        topology_from_dict({"nodes": ["B", 1], "edges": [["B", True]], "base": "B"})
 
 
 def test_node_ids_must_keep_distinct_keys():
@@ -123,6 +132,12 @@ def test_node_ids_must_keep_distinct_keys():
         topology_from_dict({"nodes": ["B", 1, True], "edges": [["B", 1]], "base": "B"})
     with pytest.raises(TopologyError, match="boolean"):
         make({0, 1}, {(0, 1)}, False)
+    # 1.0 == 1 would merge two nodes; a list or null is no id at all
+    for bad in (1.0, [1], None, {"id": 1}):
+        with pytest.raises(TopologyError, match="strings or integers"):
+            topology_from_dict({"nodes": ["B", 1, bad, "x"], "edges": [["B", 1]], "base": "B"})
+    with pytest.raises(TopologyError, match="strings or integers"):
+        topology_from_dict({"nodes": ["B"], "edges": [], "base": ["B"]})
 
 
 def test_from_spheres_rejects_overlap_and_empty():
@@ -158,6 +173,28 @@ def test_topology_file_roundtrip(tmp_path):
     assert load_topology(path) == topo
 
 
+def test_topology_file_roundtrip_with_mixed_ids(tmp_path):
+    topo = make({"B", 1, 10, 2, "x"}, {("B", 1), ("B", "x"), (1, 10), (2, "x")}, "B")
+    path = tmp_path / "mixed.topology.json"
+    save_topology(topo, path)
+    assert load_topology(path) == topo
+    assert json.loads(path.read_text())["edges"] == [[1, 10], [1, "B"], [2, "x"], ["B", "x"]]
+
+
+def test_loading_canonicalizes_each_edge_once(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return canonical_edge(a, b)
+
+    monkeypatch.setattr(wsnlife.topology, "canonical_edge", counting)
+    nodes = ["B"] + [f"v{i:03d}" for i in range(100)]
+    edges = [[nodes[i + 1], nodes[i // 2]] for i in range(100)]
+    topo = topology_from_dict({"nodes": nodes, "edges": edges, "base": "B"})
+    assert len(calls) == len(topo.edges) == 100
+
+
 def test_topology_file_rejects_unknown_fields():
     doc = {"nodes": ["B"], "edges": [], "base": "B", "color": "red"}
     with pytest.raises(TopologyError, match="unknown fields: color"):
@@ -175,6 +212,8 @@ def test_topology_file_rejects_malformed_documents(tmp_path):
         topology_from_dict({"nodes": ["B"], "base": "B"})
     with pytest.raises(TopologyError, match="two-element"):
         topology_from_dict({"nodes": ["B", "a"], "edges": [["B", "a", "a"]], "base": "B"})
+    with pytest.raises(TopologyError, match="'edges' must be a list"):
+        topology_from_dict({"nodes": ["B"], "edges": 5, "base": "B"})
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     with pytest.raises(TopologyError, match="not valid JSON"):
