@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .energy_model import EnergyModel, receive_energy_exact, send_energy_exact
+from .energy_model import EnergyModel, receive_energy, send_energy
 from .errors import Error
-from .exact import as_exact
+from .exact import as_exact, to_float
 from .topology import SpherePartition
 
 
@@ -78,7 +78,13 @@ class BoundsReport:
         }
 
 
-def _sphere_min_exact(partition: SpherePartition, i: int, e_recv, e_send) -> Fraction:
+def sphere_min_energy(partition: SpherePartition, i: int, e_recv, e_send) -> Fraction:
+    """Least possible per-node drain (exact mJ) in sphere i for one iteration.
+
+    The sphere's joint workload is divided evenly; the division is exact
+    real arithmetic, the integer-packet schedule that approaches it is the
+    simulator's concern.
+    """
     if not 1 <= i <= partition.k:
         raise SphereIndexOutOfRange(
             f"sphere index {i} out of range 1..{partition.k}"
@@ -91,28 +97,14 @@ def _sphere_min_exact(partition: SpherePartition, i: int, e_recv, e_send) -> Fra
     return Fraction(n_total - b_i, s_i) * r + Fraction(n_total - b_i + s_i, s_i) * t
 
 
-def sphere_min_energy(partition: SpherePartition, i: int, e_recv: float, e_send: float) -> float:
-    """Least possible per-node drain (mJ) in sphere i for one iteration.
-
-    The sphere's joint workload is divided evenly; the division is exact
-    real arithmetic, the integer-packet schedule that approaches it is the
-    simulator's concern.
-    """
-    return float(_sphere_min_exact(partition, i, e_recv, e_send))
-
-
-def _worst_case_exact(partition: SpherePartition, e_recv, e_send) -> Fraction:
+def worst_case_node_energy(partition: SpherePartition, e_recv, e_send) -> Fraction:
+    """Most one node can spend in a single iteration (exact mJ): it relays
+    everything, receiving all other packets and transmitting them plus its
+    own."""
     r = as_exact(e_recv)
     t = as_exact(e_send)
     n_routing = partition.total - partition.sizes[0]
     return (r + t) * n_routing - r
-
-
-def worst_case_node_energy(partition: SpherePartition, e_recv: float, e_send: float) -> float:
-    """Most one node can spend in a single iteration (mJ): it relays
-    everything, receiving all other packets and transmitting them plus its
-    own."""
-    return float(_worst_case_exact(partition, e_recv, e_send))
 
 
 def lifetime_bounds(
@@ -131,14 +123,14 @@ def lifetime_bounds(
     if not interval_s > 0:
         raise Error("interval_s must be > 0")
 
-    e_send = send_energy_exact(model, payload_bytes)
-    e_recv = receive_energy_exact(model, payload_bytes)
+    e_send = send_energy(model, payload_bytes)
+    e_recv = receive_energy(model, payload_bytes)
     per_sphere = [
-        _sphere_min_exact(partition, i, e_recv, e_send) for i in range(1, partition.k + 1)
+        sphere_min_energy(partition, i, e_recv, e_send) for i in range(1, partition.k + 1)
     ]
     m_max = max(per_sphere)
     binding = 1 + per_sphere.index(m_max)
-    worst = _worst_case_exact(partition, e_recv, e_send)
+    worst = worst_case_node_energy(partition, e_recv, e_send)
     if worst == 0 or m_max == 0:
         raise ZeroEnergyModel("all energy coefficients are zero")
 
@@ -150,18 +142,18 @@ def lifetime_bounds(
     interval = as_exact(interval_s)
 
     return BoundsReport(
-        per_sphere_min=tuple(float(m) for m in per_sphere),
+        per_sphere_min=tuple(to_float("sphere load minimum", m) for m in per_sphere),
         binding_sphere=binding,
-        worst_case_node_energy=float(worst),
-        t_max_lower=float(t_lower),
-        t_max_upper=float(t_upper),
+        worst_case_node_energy=to_float("worst-case node energy", worst),
+        t_max_lower=to_float("lower bound on T_max", t_lower),
+        t_max_upper=to_float("upper bound on T_max", t_upper),
         t_max_lower_iterations=it_lower,
         t_max_upper_iterations=it_upper,
-        lifetime_lower_hours=float(it_lower * interval / 3600),
-        lifetime_upper_hours=float(it_upper * interval / 3600),
+        lifetime_lower_hours=to_float("lower lifetime", it_lower * interval / 3600),
+        lifetime_upper_hours=to_float("upper lifetime", it_upper * interval / 3600),
         battery_joules=battery_joules,
         payload_bytes=payload_bytes,
         interval_s=interval_s,
-        send_energy_mj=float(e_send),
-        receive_energy_mj=float(e_recv),
+        send_energy_mj=to_float("send energy", e_send),
+        receive_energy_mj=to_float("receive energy", e_recv),
     )

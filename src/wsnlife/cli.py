@@ -20,18 +20,17 @@ from .energy_model import (
     load_profile,
     profile_preset,
     profile_to_dict,
-    receive_energy_exact,
     save_profile,
-    send_energy_exact,
 )
 from .errors import Error
-from .exact import as_exact, round_half_up
+from .exact import round_half_up, to_float
 from .fixtures import FIXTURE_FILES, fixture_path
 from .frame_model import FRAME_PRESETS, frame_preset
 from .simulator import (
     STRATEGIES,
     BoundViolation,
     SimConfig,
+    iteration_cost,
     simulate,
     validate_against_bounds,
 )
@@ -135,16 +134,14 @@ def cmd_bounds(args) -> int:
 
 
 def _make_trace_writer(model, config, stream):
-    e_recv = receive_energy_exact(model, config.payload_bytes)
-    e_send = send_energy_exact(model, config.payload_bytes)
-    overhead = as_exact(config.per_iteration_overhead_mj)
+    cost, _, scale = iteration_cost(model, config)
     writer = csv.writer(stream)
     writer.writerow(["iteration", "node", "receives", "transmits", "energy_mj"])
 
     def trace(iteration, counts):
         for v in sorted(counts, key=node_key):
             received, sent = counts[v]
-            energy = float(received * e_recv + sent * e_send + overhead)
+            energy = to_float("trace energy", cost(received, sent), scale)
             writer.writerow([iteration, node_key(v), received, sent, energy])
 
     return trace
@@ -277,11 +274,13 @@ def cmd_sweep(args) -> int:
             )
             jobs.append((topo, part, model, config, args.interval))
 
-    if args.jobs > 1:
+    # the pool starts all its workers at once, so never more than there are runs
+    workers = min(args.jobs, len(jobs))
+    if workers > 1:
         # imported here: loading multiprocessing costs every other command about 20 ms
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_worker, jobs))
     else:
         rows = [_sweep_worker(job) for job in jobs]

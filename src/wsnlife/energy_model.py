@@ -1,4 +1,4 @@
-"""Linear per-packet energy model: energy = m * payload + b.
+"""Linear per-packet energy model: energy = m * payload + b, in exact rationals.
 
 The fixed part b bundles channel acquisition, frame overhead and the
 acknowledgment exchange; the incremental part is per payload byte.  For a
@@ -70,7 +70,7 @@ class RadioProfile:
                 raise ProfileError(f"block override byte count must be a positive integer, got {nbytes!r}")
             _check_energy(f"block override energy for {key}", value)
 
-    def block_cost_exact(self, direction: str, nbytes: int) -> Fraction:
+    def block_cost(self, direction: str, nbytes: int) -> Fraction:
         override = self.block_overrides.get((direction, nbytes))
         if override is not None:
             return as_exact(override)
@@ -80,14 +80,18 @@ class RadioProfile:
 
 @dataclass(frozen=True)
 class EnergyModel:
-    """The four linear coefficients plus the frame geometry they were built for."""
+    """The four linear coefficients (exact mJ) plus the frame geometry they were built for."""
 
-    m_send: float
-    b_send: float
-    m_receive: float
-    b_receive: float
+    m_send: Fraction
+    b_send: Fraction
+    m_receive: Fraction
+    b_receive: Fraction
     overhead_bytes: int
     ack_bytes: int
+
+    def __post_init__(self):
+        for attr in ("m_send", "b_send", "m_receive", "b_receive"):
+            object.__setattr__(self, attr, as_exact(getattr(self, attr)))
 
 
 def build_model(profile: RadioProfile, frame: FrameConfig) -> EnergyModel:
@@ -96,19 +100,19 @@ def build_model(profile: RadioProfile, frame: FrameConfig) -> EnergyModel:
     ack = ack_frame_length()
     b_send = (
         as_exact(profile.e_cca)
-        + profile.block_cost_exact("tx", overhead)
-        + profile.block_cost_exact("rx", ack)
+        + profile.block_cost("tx", overhead)
+        + profile.block_cost("rx", ack)
     )
     b_receive = (
         as_exact(profile.e_listen)
-        + profile.block_cost_exact("rx", overhead)
-        + profile.block_cost_exact("tx", ack)
+        + profile.block_cost("rx", overhead)
+        + profile.block_cost("tx", ack)
     )
     return EnergyModel(
         m_send=profile.m_tx,
-        b_send=float(b_send),
+        b_send=b_send,
         m_receive=profile.m_rx,
-        b_receive=float(b_receive),
+        b_receive=b_receive,
         overhead_bytes=overhead,
         ack_bytes=ack,
     )
@@ -121,24 +125,16 @@ def _check_payload(model: EnergyModel, payload_bytes: int) -> None:
     check_frame_length(model.overhead_bytes + payload_bytes)
 
 
-def send_energy_exact(model: EnergyModel, payload_bytes: int) -> Fraction:
-    _check_payload(model, payload_bytes)
-    return as_exact(model.m_send) * payload_bytes + as_exact(model.b_send)
-
-
-def receive_energy_exact(model: EnergyModel, payload_bytes: int) -> Fraction:
-    _check_payload(model, payload_bytes)
-    return as_exact(model.m_receive) * payload_bytes + as_exact(model.b_receive)
-
-
-def send_energy(model: EnergyModel, payload_bytes: int) -> float:
+def send_energy(model: EnergyModel, payload_bytes: int) -> Fraction:
     """Energy (mJ) for one node to unicast an n-byte payload, ack included."""
-    return float(send_energy_exact(model, payload_bytes))
+    _check_payload(model, payload_bytes)
+    return model.m_send * payload_bytes + model.b_send
 
 
-def receive_energy(model: EnergyModel, payload_bytes: int) -> float:
+def receive_energy(model: EnergyModel, payload_bytes: int) -> Fraction:
     """Energy (mJ) for one node to receive an n-byte payload and ack it."""
-    return float(receive_energy_exact(model, payload_bytes))
+    _check_payload(model, payload_bytes)
+    return model.m_receive * payload_bytes + model.b_receive
 
 
 # Measured CC2420 values (max output power, 3 V supply).  The 11- and

@@ -3,9 +3,9 @@
 All energy figures in this package are decimal quantities (millijoules with
 a couple of decimal places), and most of them are not representable in
 binary floating point.  Computations that must match hand arithmetic --
-model intercepts, per-packet energies, iteration floors, simulated battery
-drain -- are therefore carried out on exact rationals and converted to
-float only at the reporting boundary.
+model coefficients, per-packet energies, iteration floors, simulated
+battery drain -- are therefore carried out on exact rationals and converted
+to float only where a report is built, through ``to_float``.
 
 A float entering the exact pipeline is read at its shortest round-trip
 decimal form, i.e. ``0.12`` means 12/100, not the 53-bit binary neighbour.
@@ -33,6 +33,14 @@ def as_exact(x: Number) -> Fraction:
             raise Error(f"not a finite number: {x!r}")
         return Fraction(d)
     raise TypeError(f"not a number: {x!r}")
+
+
+def to_float(what: str, x: Fraction | int, scale: int = 1) -> float:
+    """``x / scale`` correctly rounded to a report float; ``Error`` if too large."""
+    try:
+        return float(x / scale)
+    except OverflowError:
+        raise Error(f"{what} too large to report") from None
 
 
 def round_half_up(x: Number, ndigits: int = 2) -> float:

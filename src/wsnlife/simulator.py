@@ -43,9 +43,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bounds import BoundsReport
-from .energy_model import EnergyModel, receive_energy_exact, send_energy_exact
+from .energy_model import EnergyModel, receive_energy, send_energy
 from .errors import Error
-from .exact import as_exact
+from .exact import as_exact, to_float
 from .topology import NodeId, SpherePartition, Topology, node_key
 
 STRATEGIES = ("balanced-rotating", "static-tree", "round-robin-parent")
@@ -320,6 +320,25 @@ def _step_shared_schedule(counts_fn, nodes, period, cap, budget, drain):
     return completed, received, first_dead
 
 
+def iteration_cost(model: EnergyModel, config: SimConfig):
+    """``(cost, budget, scale)`` in exact integer units of 1/scale mJ, where
+    ``cost(receives, transmits, iterations=1)`` is receives * E(receive) +
+    transmits * E(send) + iterations * overhead and ``budget`` the battery."""
+    exact = (
+        receive_energy(model, config.payload_bytes),
+        send_energy(model, config.payload_bytes),
+        as_exact(config.per_iteration_overhead_mj),
+        as_exact(config.battery_joules) * 1000,  # mJ
+    )
+    scale = math.lcm(*(x.denominator for x in exact))
+    unit_recv, unit_send, unit_overhead, budget = (int(x * scale) for x in exact)
+
+    def cost(receives: int, transmits: int, iterations: int = 1) -> int:
+        return receives * unit_recv + transmits * unit_send + iterations * unit_overhead
+
+    return cost, budget, scale
+
+
 def _check_partition(topology: Topology, partition: SpherePartition):
     union = frozenset().union(*partition.spheres)
     if union != topology.nodes or partition.spheres[0] != frozenset({topology.base}):
@@ -349,28 +368,14 @@ def simulate(
     _check_partition(topology, partition)
     schedules, counts_fn = build_workload(config.strategy, topology, partition, config.seed)
 
-    e_recv = receive_energy_exact(model, config.payload_bytes)
-    e_send = send_energy_exact(model, config.payload_bytes)
-    overhead = as_exact(config.per_iteration_overhead_mj)
-    battery = as_exact(config.battery_joules) * 1000  # mJ
-
-    # energy in integer units of 1/scale mJ: exact, with no Fraction in the
-    # core; int / int is correctly rounded, so reports equal float(Fraction)
-    scale = math.lcm(*(x.denominator for x in (e_recv, e_send, overhead, battery)))
-    unit_recv, unit_send, unit_overhead, budget = (
-        int(x * scale) for x in (e_recv, e_send, overhead, battery)
-    )
-
-    # each iteration costs a node its own packet and the overhead, plus a
-    # receive and a send for every packet it relays
-    unit_own = unit_send + unit_overhead
-    unit_relay = unit_recv + unit_send
+    cost, budget, scale = iteration_cost(model, config)
+    relay, own = cost(1, 1, 0), cost(0, 1, 1)  # per relayed packet; per iteration, own packet and overhead
 
     def drain(t: int, received: int) -> int:
         """Units spent over t iterations by a node that received ``received`` packets."""
-        return t * unit_own + received * unit_relay
+        return t * own + received * relay
 
-    def cost(schedule: Schedule, t: int) -> int:
+    def spent(schedule: Schedule, t: int) -> int:
         whole, rest = divmod(t, schedule.period)
         return drain(t, whole * schedule.received(schedule.period) + schedule.received(rest))
 
@@ -400,7 +405,7 @@ def simulate(
         lifetimes = [lifetime(schedules[v]) for v in nodes]
         completed = min(lifetimes, default=cap)
         first_dead = next((v for v, t in zip(nodes, lifetimes) if t == completed < cap), None)
-        spent_by_node = {v: cost(schedules[v], completed) for v in nodes}
+        spent_by_node = {v: spent(schedules[v], completed) for v in nodes}
 
     # a network of only the base station has nothing to trace, however long it runs
     if trace is not None and nodes:
@@ -409,11 +414,8 @@ def simulate(
 
     per_sphere_max = {}
     for j in range(1, partition.k + 1):
-        if completed:
-            top = max(spent_by_node[v] for v in partition.spheres[j])
-            per_sphere_max[j] = top / (scale * completed)
-        else:
-            per_sphere_max[j] = 0.0
+        top = max(spent_by_node[v] for v in partition.spheres[j])  # 0 if nothing completed
+        per_sphere_max[j] = to_float("per-iteration sphere energy", top, scale * max(completed, 1))
 
     return SimResult(
         strategy=config.strategy,
@@ -423,8 +425,8 @@ def simulate(
         completed_iterations=completed,
         first_dead=first_dead,
         cap_reached=first_dead is None,
-        per_node_spent={v: s / scale for v, s in spent_by_node.items()},
-        base_station_spent=completed * (partition.total - 1) * unit_recv / scale,
+        per_node_spent={v: to_float("node energy spent", s, scale) for v, s in spent_by_node.items()},
+        base_station_spent=to_float("base station energy spent", cost(completed * (partition.total - 1), 0, 0), scale),
         per_sphere_max_iteration_energy=per_sphere_max,
     )
 

@@ -4,7 +4,7 @@ import math
 import random
 from fractions import Fraction
 
-from wsnlife.energy_model import receive_energy_exact, send_energy_exact
+from wsnlife.energy_model import receive_energy, send_energy
 from wsnlife.exact import as_exact
 from wsnlife.simulator import build_workload
 from wsnlife.topology import SpherePartition, Topology, canonical_edge, node_key
@@ -62,8 +62,8 @@ def reference_simulate(topology: Topology, partition: SpherePartition, model, co
     so a faster loop can be compared against it field by field.
     """
     _, counts_fn = build_workload(config.strategy, topology, partition, config.seed)
-    e_recv = receive_energy_exact(model, config.payload_bytes)
-    e_send = send_energy_exact(model, config.payload_bytes)
+    e_recv = receive_energy(model, config.payload_bytes)
+    e_send = send_energy(model, config.payload_bytes)
     overhead = as_exact(config.per_iteration_overhead_mj)
     battery = as_exact(config.battery_joules) * 1000
     nodes = sorted(topology.nodes - {topology.base}, key=node_key)

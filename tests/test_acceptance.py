@@ -7,6 +7,7 @@ import json
 import random
 import time
 from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 
@@ -41,8 +42,8 @@ def test_criterion_1_worked_example_base_case():
         part = partition(topo)
         assert part.sizes == (1, 4, 6, 10, 8)
 
-        assert send_energy(MODEL, 2) == 3.78
-        assert receive_energy(MODEL, 2) == 4.27
+        assert send_energy(MODEL, 2) == Fraction("3.78")
+        assert receive_energy(MODEL, 2) == Fraction("4.27")
 
         report = lifetime_bounds(part, MODEL, payload_bytes=2, battery_joules=30780, interval_s=10)
         for computed, expected in zip(report.per_sphere_min, (52.08, 27.93, 10.22, 3.78)):
@@ -76,10 +77,10 @@ def test_criterion_3_model_construction():
     with criterion("criterion 3 (model construction)"):
         model = build_model(CC2420_PAPER, frame_preset("paper-tinyos"))
         assert (model.m_send, model.b_send, model.m_receive, model.b_receive) == (
-            0.12,
-            3.54,
-            0.12,
-            4.03,
+            Fraction("0.12"),
+            Fraction("3.54"),
+            Fraction("0.12"),
+            Fraction("4.03"),
         )
 
 

@@ -17,8 +17,8 @@ from wsnlife.exact import as_exact
 from wsnlife.frame_model import frame_preset
 from wsnlife.topology import SpherePartition
 
-E_SEND = 3.78
-E_RECV = 4.27
+E_SEND = as_exact("3.78")
+E_RECV = as_exact("4.27")
 PART29 = SpherePartition.from_sizes((1, 4, 6, 10, 8))
 MODEL = build_model(CC2420_PAPER, frame_preset("paper-tinyos"))
 

@@ -1,17 +1,22 @@
+import io
 import json
 import shutil
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wsnlife.cli
 from wsnlife.cli import main
 from wsnlife.energy_model import CC2420_PAPER, load_profile
 from wsnlife.fixtures import fixture_path
 from wsnlife.frame_model import FrameLengthWarning
+from wsnlife.simulator import STRATEGIES
 from wsnlife.topology import save_topology, Topology
 
 
@@ -236,6 +241,35 @@ def test_sweep_table_lists_every_run(capsys):
     assert "VIOLATION" not in out
 
 
+def test_sweep_starts_no_more_workers_than_runs(capsys, monkeypatch):
+    import concurrent.futures
+
+    pools = []
+
+    class InProcessPool:
+        """Records the requested worker count and maps in this process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    args = ("sweep", FIXTURE_29, "--battery", "1", "--seeds", "0", "--format", "structured")
+    serial = run_cli(capsys, *args, "--jobs", "1")
+    assert run_cli(capsys, *args, "--jobs", "64") == serial  # 3 runs: 3 workers
+    assert run_cli(capsys, *args, "--jobs", "2") == serial
+    assert run_cli(capsys, *args, "--strategies", "static-tree", "--jobs", "64")[0] == 0  # 1 run: no pool
+    assert pools == [3, 2]
+
+
 def test_sweep_structured_runs_in_bounds(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", FIXTURE_29, "--battery", "2", "--seeds", "0..4",
@@ -293,11 +327,34 @@ def test_output_file_option(capsys, tmp_path):
     assert doc["kind"] == "lifetime-bounds"
 
 
-@pytest.mark.parametrize("flag", ["--battery", "--interval"])
-def test_non_finite_number_is_an_input_error(capsys, flag):
-    code, _, err = run_cli(capsys, "bounds", FIXTURE_29, flag, "inf")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bounds", "--battery", "inf"),
+        ("bounds", "--interval", "inf"),
+        ("bounds", "--battery", "1e308"),
+        ("bounds", "--interval", "1e308"),
+        ("simulate", "--battery", "1e308", "--max-iterations", "5"),
+    ],
+    ids=["--battery", "--interval", "--battery-1e308", "--interval-1e308", "simulate-1e308"],
+)
+def test_non_finite_number_is_an_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, argv[0], FIXTURE_29, *argv[1:])
     assert code == 2
+    assert out == ""
     assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("energy", [1e308, 5e-324])
+def test_profile_energy_beyond_the_float_range_is_an_input_error(capsys, tmp_path, energy):
+    # 1e308 makes the per-packet energies too large for a float, 5e-324 the iteration bounds
+    path = tmp_path / "extreme.profile.json"
+    path.write_text(json.dumps({"m_tx": energy, "m_rx": energy, "e_cca": 0, "e_listen": 0}))
+    code, out, err = run_cli(capsys, "bounds", FIXTURE_29, "--profile", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "too large to report" in err
     assert "Traceback" not in err
 
 
@@ -311,3 +368,49 @@ def test_calibrate_missing_readings_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "calibrate", str(tmp_path / "absent.readings.json"))
     assert code == 2
     assert "not found" in err
+
+
+def _sometimes(extremes, ordinary):
+    """A flag value as typed: one of ``extremes`` one time in four, so that
+    most commands still run to the end."""
+    return st.integers(0, 3).flatmap(lambda i: st.sampled_from(extremes) if i == 0 else ordinary.map(str))
+
+
+_floats = _sometimes(["1e308", "5e-324", "0", "-1", "inf", "nan"], st.floats(1e-3, 1e5))
+_payloads = _sometimes(["-1", "300", str(10**400)], st.integers(0, 115))
+_caps = _sometimes(["0", "-1", str(10**400)], st.integers(1, 10**9))
+
+
+@st.composite
+def _cli_argvs(draw):
+    """A ``bounds``, ``simulate`` or ``sweep`` command on the 29-node example
+    with drawn flag values; ``--jobs`` stays <= 1 so no process is started."""
+    command = draw(st.sampled_from(["bounds", "simulate", "sweep"]))
+    flags = {
+        "--payload": draw(_payloads),
+        "--battery": draw(_floats),
+        "--interval": draw(_floats),
+        "--format": draw(st.sampled_from(["structured", "table"])),
+    }
+    if command != "bounds":
+        flags["--max-iterations"] = draw(_caps)
+    if command == "simulate":
+        flags["--strategy"] = draw(st.sampled_from(STRATEGIES))
+        flags["--seed"] = str(draw(st.integers(-(10**6), 10**6)))
+    if command == "sweep":
+        first = draw(st.integers(-(10**6), 10**6))
+        flags["--seeds"] = f"{first}..{first + draw(st.integers(-1, 2))}"
+        flags["--jobs"] = str(draw(st.integers(-2, 1)))
+    # --flag=value keeps argparse from reading "-1" or "-inf" as an option
+    return [command, FIXTURE_29, *(f"{flag}={value}" for flag, value in flags.items())]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=120)
+@given(_cli_argvs())
+def test_cli_flag_values_exit_0_or_2_never_3(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a payload beyond the PPDU only warns
+        code = main(argv)
+    assert code in (0, 2) or (code == 1 and "bound violation: " in err.getvalue()), (code, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue()

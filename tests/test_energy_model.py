@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
+from wsnlife.calibration import load_readings, profile_from_readings
 from wsnlife.exact import as_exact
 from wsnlife.energy_model import (
     CC2420_PAPER,
@@ -15,6 +18,7 @@ from wsnlife.energy_model import (
     save_profile,
     send_energy,
 )
+from wsnlife.fixtures import fixture_path
 from wsnlife.frame_model import FrameConfig, frame_preset
 
 TINYOS = frame_preset("paper-tinyos")
@@ -28,9 +32,24 @@ def test_cc2420_model_coefficients_exact():
     model = cc2420_model()
     # b_send = CCA + tx 18-byte block + rx 11-byte ack = 0.08 + 2.16 + 1.30
     # b_receive = listen + rx 18-byte block + tx 11-byte ack = 0.58 + 2.13 + 1.32
-    assert (model.m_send, model.b_send, model.m_receive, model.b_receive) == (0.12, 3.54, 0.12, 4.03)
+    assert (model.m_send, model.b_send, model.m_receive, model.b_receive) == (
+        Fraction("0.12"), Fraction("3.54"), Fraction("0.12"), Fraction("4.03")
+    )
     assert model.overhead_bytes == 18
     assert model.ack_bytes == 11
+
+
+def test_calibrated_model_keeps_exact_intercepts():
+    # unrounded calibrated energies have long decimals, which a float intercept would round
+    profile = profile_from_readings(**load_readings(fixture_path("cc2420.readings.json")))
+    model = build_model(profile, TINYOS)
+    overhead, ack = model.overhead_bytes, model.ack_bytes
+    assert model.b_send == (
+        as_exact(profile.e_cca) + profile.block_cost("tx", overhead) + profile.block_cost("rx", ack)
+    )
+    assert model.b_receive == (
+        as_exact(profile.e_listen) + profile.block_cost("rx", overhead) + profile.block_cost("tx", ack)
+    )
 
 
 def test_zero_profile_gives_zero_model():
@@ -49,10 +68,10 @@ def test_unit_rate_intercepts_are_overhead_plus_ack():
 
 def test_per_packet_energies_match_worked_example():
     model = cc2420_model()
-    assert send_energy(model, 2) == 3.78
-    assert receive_energy(model, 2) == 4.27
-    assert send_energy(model, 6) == 4.26
-    assert receive_energy(model, 6) == 4.75
+    assert send_energy(model, 2) == Fraction("3.78")
+    assert receive_energy(model, 2) == Fraction("4.27")
+    assert send_energy(model, 6) == Fraction("4.26")
+    assert receive_energy(model, 6) == Fraction("4.75")
 
 
 def test_zero_payload_returns_intercepts():

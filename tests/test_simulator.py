@@ -279,6 +279,14 @@ def test_per_sphere_average_load_at_least_analytical_minimum():
         assert result.per_sphere_max_iteration_energy[j] >= minimum - 1e-9
 
 
+def test_spend_too_large_for_a_float_is_an_error():
+    # each leaf spends 1e308 mJ an iteration, 5e308 over the capped run
+    huge = EnergyModel(0, 1e308, 0, 1e308, 18, 11)
+    config = SimConfig(battery_joules=1e308, max_iterations=5)
+    with pytest.raises(Error, match="too large to report"):
+        simulate(STAR, partition(STAR), huge, config)
+
+
 def test_base_station_energy_tracked_but_never_dies():
     result, part, _ = run(STAR, battery_joules=0.0378)
     # base receives N-1 packets per iteration and is not in per_node_spent
