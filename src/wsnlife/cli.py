@@ -133,16 +133,17 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _make_trace_writer(model, config, stream):
+def _make_trace_writer(topo, model, config, stream):
     cost, _, scale = iteration_cost(model, config)
     writer = csv.writer(stream)
     writer.writerow(["iteration", "node", "receives", "transmits", "energy_mj"])
+    keyed = sorted((node_key(v), v) for v in topo.nodes - {topo.base})
 
     def trace(iteration, counts):
-        for v in sorted(counts, key=node_key):
+        for key, v in keyed:
             received, sent = counts[v]
             energy = to_float("trace energy", cost(received, sent), scale)
-            writer.writerow([iteration, node_key(v), received, sent, energy])
+            writer.writerow([iteration, key, received, sent, energy])
 
     return trace
 
@@ -163,10 +164,10 @@ def cmd_simulate(args) -> int:
     trace = None
     trace_file = None
     if args.format == "trace":
-        trace = _make_trace_writer(model, config, sys.stdout)
+        trace = _make_trace_writer(topo, model, config, sys.stdout)
     elif args.trace:
         trace_file = open(args.trace, "w", newline="")
-        trace = _make_trace_writer(model, config, trace_file)
+        trace = _make_trace_writer(topo, model, config, trace_file)
     try:
         result = simulate(topo, part, model, config, trace=trace)
     finally:
@@ -215,9 +216,8 @@ def cmd_calibrate(args) -> int:
 
 
 def _sweep_worker(job):
-    topo, part, model, config, interval = job
+    topo, part, model, config, report = job
     result = simulate(topo, part, model, config)
-    report = lifetime_bounds(part, model, config.payload_bytes, config.battery_joules, interval)
     row = {
         "strategy": config.strategy,
         "seed": config.seed,
@@ -257,22 +257,27 @@ def cmd_sweep(args) -> int:
     part = partition(topo)
     model = _build_model_from_args(args)
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
+    if not strategies:
+        raise Error(f"no strategies in {args.strategies!r}")
     for s in strategies:
         if s not in STRATEGIES:
             raise Error(f"unknown strategy {s!r} (available: {', '.join(STRATEGIES)})")
     seeds = _parse_seeds(args.seeds)
 
-    jobs = []
-    for strategy in strategies:
-        for seed in seeds:
-            config = SimConfig(
-                strategy=strategy,
-                payload_bytes=args.payload,
-                battery_joules=args.battery,
-                max_iterations=args.max_iterations,
-                seed=seed,
-            )
-            jobs.append((topo, part, model, config, args.interval))
+    configs = [
+        SimConfig(
+            strategy=strategy,
+            payload_bytes=args.payload,
+            battery_joules=args.battery,
+            max_iterations=args.max_iterations,
+            seed=seed,
+        )
+        for strategy in strategies
+        for seed in seeds
+    ]
+    # the bounds depend on nothing that varies between runs
+    report = lifetime_bounds(part, model, args.payload, args.battery, args.interval)
+    jobs = [(topo, part, model, config, report) for config in configs]
 
     # the pool starts all its workers at once, so never more than there are runs
     workers = min(args.jobs, len(jobs))

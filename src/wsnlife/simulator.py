@@ -146,12 +146,6 @@ class BoundsVerdict:
         }
 
 
-def _shuffled(items, rng: random.Random) -> list:
-    out = sorted(items, key=node_key)
-    rng.shuffle(out)
-    return out
-
-
 class Schedule(NamedTuple):
     """One battery node's share of the workload.
 
@@ -197,12 +191,14 @@ def build_workload(strategy: str, topology: Topology, partition: SpherePartition
     """
     rng = random.Random(seed)
     n_total = partition.total
+    spheres = [sorted(sphere, key=node_key) for sphere in partition.spheres]
 
     if strategy == "balanced-rotating":
         layers = []  # (members, inflow) per sphere 1..k
         schedules = {}
         for j in range(1, partition.k + 1):
-            members = _shuffled(partition.spheres[j], rng)
+            members = spheres[j]
+            rng.shuffle(members)
             inflow = n_total - partition.cumulative[j]
             layers.append((members, inflow))
             for pos, v in enumerate(members):
@@ -222,11 +218,11 @@ def build_workload(strategy: str, topology: Topology, partition: SpherePartition
 
         return schedules, counts
 
-    adjacency = topology.adjacency()
+    neighbors = topology.neighbors
 
     def candidates_for(j, v):
         inner = partition.spheres[j - 1]
-        found = sorted((u for u in adjacency[v] if u in inner), key=node_key)
+        found = sorted((u for u in neighbors[v] if u in inner), key=node_key)
         if not found:
             raise InvalidStrategyForTopology(
                 f"node {node_key(v)!r} has no neighbor one hop closer to the base"
@@ -234,17 +230,14 @@ def build_workload(strategy: str, topology: Topology, partition: SpherePartition
         return found
 
     if strategy == "static-tree":
-        children = {v: [] for v in topology.nodes}
-        order = []  # nodes outermost first
+        subtree = dict.fromkeys(topology.nodes, 1)
+        static = {}  # nodes outermost first
         for j in range(partition.k, 0, -1):
-            for v in sorted(partition.spheres[j], key=node_key):
-                parent = rng.choice(candidates_for(j, v))
-                children[parent].append(v)
-                order.append(v)
-        subtree = {v: 1 for v in topology.nodes}
-        for v in order:  # children are finalized before their parents
-            subtree[v] += sum(subtree[c] for c in children[v])
-        static = {v: (subtree[v] - 1, subtree[v]) for v in order}
+            for v in spheres[j]:
+                # every node routing through v is in an outer sphere, so its subtree is complete
+                size = subtree[v]
+                subtree[rng.choice(candidates_for(j, v))] += size
+                static[v] = (size - 1, size)
 
         def counts(iteration: int) -> dict:
             return static
@@ -253,12 +246,9 @@ def build_workload(strategy: str, topology: Topology, partition: SpherePartition
         return {v: Schedule(1, r.__mul__) for v, (r, _) in static.items()}, counts
 
     # round-robin-parent
-    rotations = {}  # node -> shuffled candidate list
-    sphere_order = []  # spheres outermost first, nodes in lexicographic order
+    rotations = {}  # node -> shuffled candidate list, spheres outermost first
     for j in range(partition.k, 0, -1):
-        members = sorted(partition.spheres[j], key=node_key)
-        sphere_order.append(members)
-        for v in members:
+        for v in spheres[j]:
             cands = candidates_for(j, v)
             rng.shuffle(cands)
             rotations[v] = cands
@@ -268,14 +258,12 @@ def build_workload(strategy: str, topology: Topology, partition: SpherePartition
     def counts(iteration: int) -> dict:
         received = {v: 0 for v in rotations}
         out = {}
-        for members in sphere_order:
-            for v in members:
-                sends = 1 + received[v]
-                cands = rotations[v]
-                parent = cands[iteration % len(cands)]
-                if parent != base:
-                    received[parent] += sends
-                out[v] = (received[v], sends)
+        for v, cands in rotations.items():  # senders before their parents
+            sends = 1 + received[v]
+            parent = cands[iteration % len(cands)]
+            if parent != base:
+                received[parent] += sends
+            out[v] = (received[v], sends)
         return out
 
     # receives depend on the whole rotation state, so every node shares the

@@ -5,7 +5,7 @@ deterministic ordering always uses the canonical string form.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import Error
@@ -43,11 +43,13 @@ def canonical_edge(a: NodeId, b: NodeId) -> tuple[NodeId, NodeId]:
 
 @dataclass(frozen=True)
 class Topology:
-    """Undirected graph with a base station; construction checks every id and edge once."""
+    """Undirected graph with a base station; construction checks every id and
+    edge once, and in the same pass lists each node's adjacent nodes in ``neighbors``."""
 
     nodes: frozenset
     edges: frozenset
     base: NodeId
+    neighbors: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         ids = list(self.nodes)  # as given: a set would already merge 1, 1.0 and True
@@ -69,6 +71,7 @@ class Topology:
         if self.base not in nodes:
             raise TopologyError(f"base station {node_key(self.base)!r} is not a node")
         edges = set()
+        neighbors = {v: [] for v in nodes}
         for a, b in self.edges:
             for v in (a, b):
                 if type(v) not in _ID_TYPES or v not in nodes:
@@ -79,15 +82,11 @@ class Topology:
             if edge in edges:
                 raise TopologyError(f"duplicate edge {list(edge)}")
             edges.add(edge)
+            neighbors[a].append(b)
+            neighbors[b].append(a)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", frozenset(edges))
-
-    def adjacency(self) -> dict:
-        adj = {v: set() for v in self.nodes}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
+        object.__setattr__(self, "neighbors", neighbors)
 
     def to_dict(self) -> dict:
         return {
@@ -167,7 +166,7 @@ def partition(topology: Topology) -> SpherePartition:
     Raises UnreachableNode if the graph is disconnected: every analysis in
     this package assumes all nodes route to the base.
     """
-    adj = topology.adjacency()
+    neighbors = topology.neighbors
     reached = {topology.base}
     layers = []
     frontier = [topology.base]
@@ -175,7 +174,7 @@ def partition(topology: Topology) -> SpherePartition:
         layers.append(frontier)
         nxt = []
         for v in frontier:
-            for u in adj[v]:
+            for u in neighbors[v]:
                 if u not in reached:
                     reached.add(u)
                     nxt.append(u)

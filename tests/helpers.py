@@ -44,6 +44,53 @@ def random_connected_topology(rng: random.Random, n: int) -> Topology:
     return Topology(nodes=frozenset(nodes), edges=frozenset(edges), base=nodes[0])
 
 
+def irregular_topology(rng: random.Random, n: int) -> Topology:
+    """Connected graph of n nodes, built like the benchmark's irregular graphs.
+
+    A random spanning tree plus n extra edges.  Each node attaches to one of
+    the 50 nodes created just before it (or, one time in ten, to any earlier
+    node), which gives a hop depth of a few tens.  Base is "base".
+    """
+    names = ["base"] + [f"v{i}" for i in range(1, n)]
+    edges = set()
+    for i in range(1, n):
+        lo = 0 if rng.random() < 0.1 else max(0, i - 50)
+        edges.add((rng.randrange(lo, i), i))
+    while len(edges) < 2 * n - 1:
+        a, b = sorted(rng.sample(range(n), 2))
+        edges.add((a, b))
+    pairs = frozenset((names[a], names[b]) for a, b in edges)
+    return Topology(nodes=frozenset(names), edges=pairs, base="base")
+
+
+def tree_descendants_oracle(topology: Topology) -> dict:
+    """Number of descendants of each battery node of a tree rooted at the base.
+
+    A depth-first search over the edge set, independent of the package's
+    adjacency, partition and workloads.
+    """
+    adj = {v: [] for v in topology.nodes}
+    for a, b in topology.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    parent = {topology.base: None}
+    preorder = []
+    stack = [topology.base]
+    while stack:
+        v = stack.pop()
+        preorder.append(v)
+        for u in adj[v]:
+            if u not in parent:
+                parent[u] = v
+                stack.append(u)
+    below = dict.fromkeys(topology.nodes, 0)
+    for v in reversed(preorder):  # every node after all of its descendants
+        if parent[v] is not None:
+            below[parent[v]] += below[v] + 1
+    del below[topology.base]
+    return below
+
+
 def random_partition(rng: random.Random, max_total: int = 50) -> SpherePartition:
     """Random sphere-size structure with one base node and N <= max_total."""
     sizes = [1]

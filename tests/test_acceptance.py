@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines inline.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -22,6 +23,7 @@ from wsnlife.simulator import STRATEGIES, SimConfig, simulate, validate_against_
 from wsnlife.topology import Topology, load_topology, partition
 
 MODEL = build_model(CC2420_PAPER, frame_preset("paper-tinyos"))
+GOLDEN_SWEEP_SHA256 = "726135bbccea055e9e6cd57cd3493896ee26d5b1c2e89fa0a05d305828601d8e"
 
 
 @contextmanager
@@ -176,3 +178,5 @@ def test_criterion_8_determinism():
         first = _sweep_documents()
         second = _sweep_documents()
         assert first == second
+        # the golden output: refactors must keep these bytes
+        assert hashlib.sha256("".join(first).encode()).hexdigest() == GOLDEN_SWEEP_SHA256

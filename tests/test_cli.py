@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wsnlife.cli
+from wsnlife.bounds import lifetime_bounds
 from wsnlife.cli import main
 from wsnlife.energy_model import CC2420_PAPER, load_profile
 from wsnlife.fixtures import fixture_path
@@ -161,6 +162,13 @@ def test_malformed_seeds_are_an_input_error(capsys, seeds):
     assert err.startswith("error: bad seed")
 
 
+def test_empty_strategy_list_is_an_input_error(capsys):
+    code, out, err = run_cli(capsys, "sweep", FIXTURE_29, "--battery", "1", "--strategies", ",")
+    assert code == 2
+    assert out == ""
+    assert err == "error: no strategies in ','\n"
+
+
 def test_unexpected_exception_is_an_internal_error_not_exit_1(capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("boom")
@@ -268,6 +276,23 @@ def test_sweep_starts_no_more_workers_than_runs(capsys, monkeypatch):
     assert run_cli(capsys, *args, "--jobs", "2") == serial
     assert run_cli(capsys, *args, "--strategies", "static-tree", "--jobs", "64")[0] == 0  # 1 run: no pool
     assert pools == [3, 2]
+
+
+def test_sweep_builds_the_bounds_report_once(capsys, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return lifetime_bounds(*args)
+
+    monkeypatch.setattr(wsnlife.cli, "lifetime_bounds", counting)
+    code, out, _ = run_cli(
+        capsys, "sweep", FIXTURE_29, "--battery", "2", "--seeds", "0..2", "--jobs", "1",
+        "--strategies", "static-tree,round-robin-parent", "--format", "structured",
+    )
+    assert code == 0
+    assert len(json.loads(out)["runs"]) == 2 * 3
+    assert len(calls) == 1
 
 
 def test_sweep_structured_runs_in_bounds(capsys):

@@ -4,7 +4,12 @@ import time
 
 import pytest
 
-from helpers import random_connected_topology, reference_simulate
+from helpers import (
+    irregular_topology,
+    random_connected_topology,
+    reference_simulate,
+    tree_descendants_oracle,
+)
 from wsnlife.bounds import lifetime_bounds, sphere_min_energy
 from wsnlife.fixtures import example29, layered_topology
 from wsnlife.energy_model import (
@@ -152,6 +157,11 @@ def _reference_cases():
         yield LONG_ROTATION, 0.05, 10**9, overhead, 4
         for cap in (10**9, 211, 1000):
             yield _rotation_topology((2, 3, 5, 7)), 20.0, cap, overhead, 4
+    # irregular graphs shaped like the benchmark's, a few tens of hops deep
+    # with many parent candidates per node: the cap, or a battery that runs
+    # out within a few tens of iterations, keeps the reference stepper quick
+    for n, battery, cap in ((250, 30780.0, 150), (320, 20.0, 10**9), (400, 20.0, 10**9)):
+        yield irregular_topology(rng, n), battery, cap, rng.choice((0.0, 0.3)), rng.randrange(1000)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -168,6 +178,23 @@ def test_simulate_matches_plain_reference_stepper(strategy):
         result = simulate(topo, part, MODEL, config)
         expected = reference_simulate(topo, part, MODEL, config)
         assert {key: getattr(result, key) for key in expected} == expected, config
+
+
+def test_graph_strategies_route_whole_subtrees_on_spanning_trees():
+    # one parent candidate per node: every descendant's packet passes through it
+    rng = random.Random(8)
+    for _ in range(30):
+        n = rng.randint(2, 60)
+        nodes = [f"v{i:02d}" for i in range(n)]
+        window = rng.choice((2, n))  # parents among the last two nodes make deep trees
+        edges = {(nodes[i], nodes[rng.randrange(max(0, i - window), i)]) for i in range(1, n)}
+        topo = make(nodes, edges, nodes[0])
+        expected = {v: (d, d + 1) for v, d in tree_descendants_oracle(topo).items()}
+        part = partition(topo)
+        for strategy in ("static-tree", "round-robin-parent"):
+            _, counts_fn = build_workload(strategy, topo, part, seed=rng.randrange(1000))
+            for iteration in (0, 1, 5):
+                assert counts_fn(iteration) == expected, (strategy, sorted(edges))
 
 
 def test_zero_energy_model_reaches_the_default_cap_quickly():

@@ -14,6 +14,7 @@ from wsnlife.topology import (
     UnreachableNode,
     canonical_edge,
     load_topology,
+    node_key,
     partition,
     save_topology,
     topology_from_dict,
@@ -85,7 +86,10 @@ def test_sphere_structure_invariants():
     for _ in range(20):
         topo = random_connected_topology(rng, rng.randint(2, 30))
         part = partition(topo)
-        adj = topo.adjacency()
+        adj = {v: set() for v in topo.nodes}
+        for a, b in topo.edges:
+            adj[a].add(b)
+            adj[b].add(a)
         assert sum(part.sizes) == part.total == len(topo.nodes)
         for i in range(1, part.k + 1):
             assert part.cumulative[i] - part.cumulative[i - 1] == part.sizes[i]
@@ -95,6 +99,20 @@ def test_sphere_structure_invariants():
                 assert not any(j < i - 1 for j in hops), "skip-level edge"
         union = frozenset().union(*part.spheres)
         assert union == topo.nodes
+
+
+def test_neighbors_list_each_edge_once_in_each_direction():
+    rng = random.Random(12)
+    topologies = [random_connected_topology(rng, rng.randint(1, 30)) for _ in range(20)]
+    topologies.append(Topology(nodes=[3, 1, 2], edges=[[2, 1], [3, 2]], base=1))
+    for topo in topologies:
+        assert topo.neighbors.keys() == topo.nodes
+        arcs = sorted((node_key(v), node_key(u)) for v, adjacent in topo.neighbors.items() for u in adjacent)
+        both_ways = sorted((node_key(x), node_key(y)) for a, b in topo.edges for x, y in ((a, b), (b, a)))
+        assert arcs == both_ways
+    # derived from the edges, so it plays no part in equality or hashing
+    reordered = Topology(nodes=[1, 2, 3], edges=[[3, 2], [1, 2]], base=1)
+    assert reordered == topologies[-1] and hash(reordered) == hash(topologies[-1])
 
 
 def test_unreachable_node_is_an_error_naming_the_node():
