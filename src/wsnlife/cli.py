@@ -8,6 +8,7 @@ are byte-identical.
 import argparse
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -138,12 +139,14 @@ def _make_trace_writer(topo, model, config, stream):
     writer = csv.writer(stream)
     writer.writerow(["iteration", "node", "receives", "transmits", "energy_mj"])
     keyed = sorted((node_key(v), v) for v in topo.nodes - {topo.base})
+    energies = {}  # (receives, transmits) -> report float; a run has few distinct pairs
 
     def trace(iteration, counts):
         for key, v in keyed:
-            received, sent = counts[v]
-            energy = to_float("trace energy", cost(received, sent), scale)
-            writer.writerow([iteration, key, received, sent, energy])
+            pair = counts[v]
+            if pair not in energies:
+                energies[pair] = to_float("trace energy", cost(*pair), scale)
+            writer.writerow([iteration, key, *pair, energies[pair]])
 
     return trace
 
@@ -400,7 +403,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # stdout's reader has gone: write nothing more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the final flush cannot fail
+        return 141  # 128 + SIGPIPE
     except BoundViolation as exc:
         print(f"bound violation: {exc}", file=sys.stderr)
         return 1

@@ -24,10 +24,11 @@ the overhead and the battery are rationals, and the run counts drain in
 integer multiples of their common denominator.  Each node transmits what
 it receives plus its own packet, so its drain after t iterations is
 t * (E(send) + overhead) + R(t) * (E(receive) + E(send)), where R(t) is its
-cumulative receive count.  R repeats with the node's own period (its
-sphere's size under ``balanced-rotating``), so each node's death iteration
-is found directly: skip the whole periods its battery covers, then bisect
-within one period.  The run ends at the earliest death or the cap.
+cumulative receive count.  The members of a ``balanced-rotating`` sphere
+take turns at one workload, and the member whose turn starts the period
+dies no later than the others, so one search per sphere finds the run's
+end: skip the whole periods that member's battery covers, then bisect
+within one period; each ``static-tree`` node is a sphere of its own.
 ``round-robin-parent`` has no per-node closed form, because a node's
 receives depend on the rotation state of every node upstream of it; its
 shared schedule is stepped with running counts, never past the cap or the
@@ -38,7 +39,6 @@ survives are skipped.
 import math
 import random
 from bisect import bisect_right
-from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -146,69 +146,59 @@ class BoundsVerdict:
         }
 
 
-class Schedule(NamedTuple):
-    """One battery node's share of the workload.
+class Rotation(NamedTuple):
+    """Nodes that take turns at one workload: at iteration ``i`` every member
+    receives ``share`` packets, and the members at positions ``i`` to
+    ``i + remainder - 1``, modulo the size, one more each."""
 
-    ``received(t)`` is the number of packets the node receives over
-    iterations ``[0, t)``, for ``0 <= t <= period``, and the node's workload
-    repeats every ``period`` iterations.  Each iteration the node transmits
-    what it receives plus its own packet.  ``received`` is None when the
-    count has no closed form and the workload must be stepped.
-    """
+    members: list
+    share: int
+    remainder: int
 
-    period: int
-    received: Callable[[int], int] | None
+    @property
+    def leader(self) -> int:
+        """Position of the member that receives the most over every prefix of the run."""
+        return (self.remainder - 1) % len(self.members)
 
-
-def _rotating_schedule(size: int, inflow: int, pos: int) -> Schedule:
-    """Schedule of the node at ``pos`` of a ``balanced-rotating`` sphere.
-
-    Iteration ``i`` brings the node ``share`` packets, plus one more when
-    ``i % size`` lies in the cyclic window of ``remainder`` offsets that
-    ends at ``pos``: ``[start, start + remainder)``, which runs past
-    ``size`` into ``[0, tail)`` when ``wrap`` is 1.
-    """
-    share, remainder = divmod(inflow, size)
-    start = (pos - remainder + 1) % size
-    wrap, tail = divmod(start + remainder, size)
-
-    def received(t: int) -> int:
-        return (share + wrap) * t + min(tail, t) - min(start, t)
-
-    return Schedule(size, received)
+    def received(self, pos: int, t: int) -> int:
+        """Packets the member at ``pos`` receives over iterations ``[0, t)``:
+        its extras are those the leader gets over ``[lag, lag + t)``, and over
+        ``[0, x)`` the leader gets ``x // size * remainder + min(remainder, x % size)``."""
+        if not self.remainder:  # every member receives the same each iteration
+            return self.share * t
+        size = len(self.members)
+        lag = (self.remainder - 1 - pos) % size
+        whole, rest = divmod(lag + t, size)
+        return self.share * t + whole * self.remainder + min(self.remainder, rest) - min(self.remainder, lag)
 
 
 def build_workload(strategy: str, topology: Topology, partition: SpherePartition, seed: int):
-    """Per-node schedules and per-iteration packet counts of a strategy.
+    """The closed form and the per-iteration packet counts of a strategy.
 
-    Returns ``(schedules, counts_fn)``.  ``schedules`` maps each battery
-    node to its ``Schedule``, whose period is 1 under ``static-tree``, the
-    size of the node's sphere under ``balanced-rotating``, and the lcm of
-    all parent-candidate counts under ``round-robin-parent``, whose
-    schedules have no ``received`` count.  ``counts_fn(i)`` maps each
-    battery node to its (receives, transmits) for iteration ``i``; it is a
-    pure function of the iteration index.
+    Returns ``(rotations, counts_fn)``: one ``Rotation`` per sphere, its
+    members shuffled, under ``balanced-rotating``, and one per battery node
+    under ``static-tree``.  ``round-robin-parent`` has no closed form, and
+    returns in place of ``rotations`` the period of its counts, the lcm of
+    all parent-candidate counts.  ``counts_fn(i)`` maps each battery node
+    to its (receives, transmits) for iteration ``i``; it is a pure function
+    of the iteration index.
     """
     rng = random.Random(seed)
     n_total = partition.total
     spheres = [sorted(sphere, key=node_key) for sphere in partition.spheres]
 
     if strategy == "balanced-rotating":
-        layers = []  # (members, inflow) per sphere 1..k
-        schedules = {}
+        rotations = []
         for j in range(1, partition.k + 1):
             members = spheres[j]
             rng.shuffle(members)
             inflow = n_total - partition.cumulative[j]
-            layers.append((members, inflow))
-            for pos, v in enumerate(members):
-                schedules[v] = _rotating_schedule(len(members), inflow, pos)
+            rotations.append(Rotation(members, *divmod(inflow, len(members))))
 
         def counts(iteration: int) -> dict:
             out = {}
-            for members, inflow in layers:
+            for members, share, remainder in rotations:
                 size = len(members)
-                share, remainder = divmod(inflow, size)
                 offset = iteration % size
                 for pos, v in enumerate(members):
                     extra = 1 if (pos - offset) % size < remainder else 0
@@ -216,7 +206,7 @@ def build_workload(strategy: str, topology: Topology, partition: SpherePartition
                     out[v] = (received, received + 1)
             return out
 
-        return schedules, counts
+        return rotations, counts
 
     neighbors = topology.neighbors
 
@@ -242,23 +232,22 @@ def build_workload(strategy: str, topology: Topology, partition: SpherePartition
         def counts(iteration: int) -> dict:
             return static
 
-        # received(t) = receives * t, for t in {0, 1}
-        return {v: Schedule(1, r.__mul__) for v, (r, _) in static.items()}, counts
+        return [Rotation([v], r, 0) for v, (r, _) in static.items()], counts
 
     # round-robin-parent
-    rotations = {}  # node -> shuffled candidate list, spheres outermost first
+    cycles = {}  # node -> shuffled candidate list, spheres outermost first
     for j in range(partition.k, 0, -1):
         for v in spheres[j]:
             cands = candidates_for(j, v)
             rng.shuffle(cands)
-            rotations[v] = cands
+            cycles[v] = cands
 
     base = topology.base
 
     def counts(iteration: int) -> dict:
-        received = {v: 0 for v in rotations}
+        received = {v: 0 for v in cycles}
         out = {}
-        for v, cands in rotations.items():  # senders before their parents
+        for v, cands in cycles.items():  # senders before their parents
             sends = 1 + received[v]
             parent = cands[iteration % len(cands)]
             if parent != base:
@@ -268,8 +257,7 @@ def build_workload(strategy: str, topology: Topology, partition: SpherePartition
 
     # receives depend on the whole rotation state, so every node shares the
     # global period and `simulate` steps `counts`
-    period = math.lcm(*(len(c) for c in rotations.values()))
-    return {v: Schedule(period, None) for v in rotations}, counts
+    return math.lcm(*(len(c) for c in cycles.values())), counts
 
 
 def _step_shared_schedule(counts_fn, nodes, period, cap, budget, drain):
@@ -342,11 +330,12 @@ def simulate(
 ) -> SimResult:
     """Run the collection protocol until the first death or the iteration cap.
 
-    Each battery node's death iteration comes from its ``Schedule`` alone,
-    with O(log period) evaluations of its receive count.  Schedules with no
-    receive count (``round-robin-parent``) are stepped together instead, at
-    most twice min(period, cap, first death) iterations.  Among the nodes
-    that die first, the one with the smallest ``node_key`` is ``first_dead``.
+    One death search per ``Rotation`` finds the run's end, the earliest
+    death of a rotation's leader or the cap; then each node's spend, and
+    whether it dies then too, is O(1) arithmetic.  ``round-robin-parent``
+    is stepped instead, at most twice min(period, cap, first death)
+    iterations.  Among the nodes that die first, the one with the smallest
+    ``node_key`` is ``first_dead``.
 
     ``trace``, if given, is called as ``trace(iteration, counts)`` for each
     completed iteration in order, with the per-node (receives, transmits)
@@ -354,7 +343,7 @@ def simulate(
     not change how the run is computed.
     """
     _check_partition(topology, partition)
-    schedules, counts_fn = build_workload(config.strategy, topology, partition, config.seed)
+    rotations, counts_fn = build_workload(config.strategy, topology, partition, config.seed)
 
     cost, budget, scale = iteration_cost(model, config)
     relay, own = cost(1, 1, 0), cost(0, 1, 1)  # per relayed packet; per iteration, own packet and overhead
@@ -363,40 +352,43 @@ def simulate(
         """Units spent over t iterations by a node that received ``received`` packets."""
         return t * own + received * relay
 
-    def spent(schedule: Schedule, t: int) -> int:
-        whole, rest = divmod(t, schedule.period)
-        return drain(t, whole * schedule.received(schedule.period) + schedule.received(rest))
-
     cap = config.max_iterations
 
-    def lifetime(schedule: Schedule) -> int:
-        """Iterations the node completes before its battery runs out, at most cap."""
-        period, received = schedule
-        per_period = drain(period, received(period))
+    def lifetime(rotation: Rotation) -> int:
+        """Iterations the rotation's leader completes before its battery runs out, at most cap."""
+        size = len(rotation.members)
+
+        def leader_drain(t: int) -> int:
+            return drain(t, rotation.received(rotation.leader, t))
+
+        per_period = leader_drain(size)
         if not per_period:
             return cap
         whole, left = divmod(budget, per_period)
-        # offset 0 always fits what is left and offset `period` never does, so
-        # the death offset is the number of offsets in [1, period) that fit
-        offsets = range(1, period)
-        fits = bisect_right(offsets, left, key=lambda r: drain(r, received(r)))
-        return min(cap, whole * period + fits)
+        # offset 0 always fits what is left and offset `size` never does, so
+        # the death offset is the number of offsets in [1, size) that fit
+        fits = bisect_right(range(1, size), left, key=leader_drain)
+        return min(cap, whole * size + fits)
 
-    nodes = sorted(topology.nodes - {topology.base}, key=node_key)
-    if any(schedules[v].received is None for v in nodes):
-        period = schedules[nodes[0]].period
+    if config.strategy == "round-robin-parent":
+        period = rotations  # returned in their place: this strategy has no rotations
+        nodes = sorted(topology.nodes - {topology.base}, key=node_key)
         completed, received, first_dead = _step_shared_schedule(
             counts_fn, nodes, period, cap, budget, drain
         )
         spent_by_node = {v: drain(completed, received[v]) for v in nodes}
     else:
-        lifetimes = [lifetime(schedules[v]) for v in nodes]
-        completed = min(lifetimes, default=cap)
-        first_dead = next((v for v, t in zip(nodes, lifetimes) if t == completed < cap), None)
-        spent_by_node = {v: spent(schedules[v], completed) for v in nodes}
+        completed = min(map(lifetime, rotations), default=cap)
+        spent_by_node, dying = {}, []
+        for rotation in rotations:
+            for pos, v in enumerate(rotation.members):
+                spent_by_node[v] = drain(completed, rotation.received(pos, completed))
+                if completed < cap and drain(completed + 1, rotation.received(pos, completed + 1)) > budget:
+                    dying.append(v)
+        first_dead = min(dying, key=node_key, default=None)
 
     # a network of only the base station has nothing to trace, however long it runs
-    if trace is not None and nodes:
+    if trace is not None and partition.total > 1:
         for i in range(completed):
             trace(i, counts_fn(i))
 

@@ -189,6 +189,22 @@ def test_importing_the_cli_leaves_multiprocessing_unloaded():
     assert out.strip() == "False"
 
 
+def test_closed_stdout_exits_141_without_a_traceback():
+    # 50 J of trace is about 0.5 MB, more than a pipe holds, so the
+    # process is still writing when its reader goes away
+    src = Path(wsnlife.__file__).resolve().parent.parent
+    command = ["simulate", FIXTURE_29, "--battery", "50", "--format", "trace"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "wsnlife.cli", *command],
+        cwd=src, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"iteration,node,receives,transmits,energy_mj\r\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 141
+    assert err == ""
+
+
 def test_simulate_structured_with_verdict(capsys, tmp_path):
     chain = Topology(
         nodes=frozenset({"B", "a", "b"}),

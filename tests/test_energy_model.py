@@ -1,3 +1,4 @@
+from contextlib import nullcontext
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from wsnlife.energy_model import (
     send_energy,
 )
 from wsnlife.fixtures import fixture_path
-from wsnlife.frame_model import FrameConfig, frame_preset
+from wsnlife.frame_model import PPDU_SOFT_LIMIT, FrameConfig, FrameLengthWarning, frame_preset
 
 TINYOS = frame_preset("paper-tinyos")
 
@@ -83,7 +84,10 @@ def test_zero_payload_returns_intercepts():
 def test_receive_send_gap_is_constant_intercept_difference():
     model = cc2420_model()
     for n in range(0, 120, 7):
-        gap = receive_energy(model, n) - send_energy(model, n)
+        # payloads whose frame overflows the PPDU must still warn
+        overflows = model.overhead_bytes + n > PPDU_SOFT_LIMIT
+        with pytest.warns(FrameLengthWarning) if overflows else nullcontext():
+            gap = receive_energy(model, n) - send_energy(model, n)
         assert gap == pytest.approx(0.49, abs=1e-12)
 
 

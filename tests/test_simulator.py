@@ -123,6 +123,9 @@ def _reference_cases():
     # batteries that exactly one iteration empties: a node may spend all of it
     yield STAR, 0.00378, 10**9, 0.0, 0
     yield CHAIN, 0.01183, 10**9, 0.0, 0
+    # the relay z dies at once; the leaf a, which sorts first, would spend
+    # exactly its battery in that iteration, so it must not count as dying
+    yield make({"B", "z", "a"}, {("B", "z"), ("z", "a")}, "B"), 0.00378, 10**9, 0.0, 0
     # layer-size lcms 5355 and 72072: schedules far longer than the other cases
     wide = layered_topology((1, 5, 7, 9, 17))
     for battery, overhead in ((0.5, 0.0), (400.0, 0.3)):
@@ -149,6 +152,15 @@ def _reference_cases():
         battery = round(iterations * busiest) / 1000  # whole mJ: lasts at most `iterations`
         yield layered_topology(sizes), battery, 10**9, rng.choice((0.0, 0.3)), rng.randrange(1000)
         made += 1
+    # ties for the first death, within a few periods: under balanced-rotating
+    # every node of spheres 1 and 2 of (1, 4, 2, 2) relays one packet per
+    # iteration; the two members of sphere 1 of (1, 2, 1) take turns at one
+    # packet; and spheres 1 and 2 of (1, 3, 1, 2) relay one and two packets
+    for overhead in (0.0, 0.3):
+        for battery in (0.05, 0.1):
+            yield layered_topology((1, 4, 2, 2)), battery, 10**9, overhead, 0
+        yield layered_topology((1, 2, 1)), 0.05, 10**9, overhead, 0
+    yield layered_topology((1, 3, 1, 2)), 0.02, 10**9, 0.0, 0
     # round-robin periods: 30 808 063 ended inside the first period by the cap
     # and by a death, and 210 ended by a death after several periods and by
     # caps one past the first period and after several
@@ -258,6 +270,26 @@ def test_balanced_rotation_evens_out_over_sphere_sized_windows():
                 window = [counts_fn(i) for i in range(start, start + size)]
                 for v in part.spheres[j]:
                     assert sum(counts[v][1] for counts in window) == expected
+
+
+def test_rotation_leader_receives_most_over_every_prefix():
+    # the death search bisects on each sphere's leader alone, which rests on this
+    rng = random.Random(31)
+    for _ in range(300):
+        size, inflow = rng.randint(1, 12), rng.randint(0, 40)
+        topo = layered_topology((1, size, inflow) if inflow else (1, size))
+        rotations, counts_fn = build_workload("balanced-rotating", topo, partition(topo), rng.randrange(1000))
+        rotation = rotations[0]
+        members = rotation.members
+        received = dict.fromkeys(members, 0)
+        for t in range(1, 2 * size + 1):
+            counts = counts_fn(t - 1)
+            for v in members:
+                received[v] += counts[v][0]
+            most = received[members[rotation.leader]]
+            for pos, v in enumerate(members):
+                assert received[v] <= most, (size, inflow, t)
+                assert rotation.received(pos, t) == received[v], (size, inflow, t)
 
 
 def test_deterministic_under_identical_config():
