@@ -8,13 +8,12 @@ amplifies the voltage across it, so the energy of one operation is
 with the default rig constants gain 98, 1.7 ohm and a 3 V supply.
 """
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .energy_model import DIRECTIONS, RadioProfile
-from .errors import Error
+from .errors import Error, read_json
 from .exact import as_exact, round_half_up
 
 
@@ -94,7 +93,8 @@ def _as_reading_tuple(value) -> tuple:
     return readings
 
 
-def reading_energy_exact(reading: ScopeReading) -> Fraction:
+def reading_energy(reading: ScopeReading) -> Fraction:
+    """Exact energy of one scope trace in millijoules."""
     joules = (
         as_exact(reading.v_scope)
         / (as_exact(reading.gain) * as_exact(reading.r_sense))
@@ -104,14 +104,9 @@ def reading_energy_exact(reading: ScopeReading) -> Fraction:
     return joules * 1000  # mJ
 
 
-def reading_energy(reading: ScopeReading) -> float:
-    """Energy of one scope trace in millijoules."""
-    return float(reading_energy_exact(reading))
-
-
 def _mean_energy(readings) -> Fraction:
     readings = _as_reading_tuple(readings)
-    return sum(reading_energy_exact(r) for r in readings) / len(readings)
+    return sum(reading_energy(r) for r in readings) / len(readings)
 
 
 def profile_from_readings(
@@ -205,10 +200,7 @@ def _parse_slot(value, rig: dict, source: str, packet: bool = False):
 def load_readings(path) -> dict:
     """Parse a readings file into profile_from_readings keyword arguments."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ReadingsError(f"{path}: not valid JSON: {exc}") from exc
+    doc = read_json(path, ReadingsError)
     if not isinstance(doc, dict):
         raise ReadingsError(f"{path}: readings document must be an object")
     unknown = set(doc) - _READINGS_FIELDS

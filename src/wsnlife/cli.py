@@ -152,6 +152,8 @@ def _make_trace_writer(topo, model, config, stream):
 
 
 def cmd_simulate(args) -> int:
+    if args.format == "trace" and args.trace:
+        raise Error("--trace and --format trace both name the trace; use -o to write it to a file")
     topo = _resolve_topology(args.topology)
     part = partition(topo)
     model = _build_model_from_args(args)
@@ -164,13 +166,12 @@ def cmd_simulate(args) -> int:
     )
     report = lifetime_bounds(part, model, args.payload, args.battery, args.interval)
 
+    # --format trace writes the trace where -o says, or to stdout
+    trace_path = args.output if args.format == "trace" else args.trace
+    trace_file = open(trace_path, "w", newline="") if trace_path else None
     trace = None
-    trace_file = None
-    if args.format == "trace":
-        trace = _make_trace_writer(topo, model, config, sys.stdout)
-    elif args.trace:
-        trace_file = open(args.trace, "w", newline="")
-        trace = _make_trace_writer(topo, model, config, trace_file)
+    if trace_file or args.format == "trace":
+        trace = _make_trace_writer(topo, model, config, trace_file or sys.stdout)
     try:
         result = simulate(topo, part, model, config, trace=trace)
     finally:
@@ -409,6 +410,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # stdout's reader has gone: write nothing more
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the final flush cannot fail
         return 141  # 128 + SIGPIPE
+    except OSError as exc:  # a file named on the command line cannot be read or written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BoundViolation as exc:
         print(f"bound violation: {exc}", file=sys.stderr)
         return 1

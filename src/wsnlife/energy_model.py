@@ -18,7 +18,7 @@ from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import Error
+from .errors import Error, read_json
 from .exact import as_exact
 from .frame_model import (
     FRAME_PRESETS,
@@ -259,11 +259,7 @@ def profile_to_dict(profile: RadioProfile) -> dict:
 def load_profile(path):
     """Load a profile file; returns (RadioProfile, FrameConfig | None)."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ProfileError(f"{path}: not valid JSON: {exc}") from exc
-    return profile_from_dict(doc, source=str(path))
+    return profile_from_dict(read_json(path, ProfileError), source=str(path))
 
 
 def save_profile(profile: RadioProfile, path) -> None:

@@ -1,2 +1,14 @@
+import json
+from pathlib import Path
+
+
 class Error(Exception):
     """Base class for all errors raised by this package."""
+
+
+def read_json(path: Path, error: type[Error]):
+    """The JSON document in the file at ``path``, or ``error`` if its text is not JSON."""
+    try:
+        return json.loads(path.read_text())
+    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError on undecodable bytes
+        raise error(f"{path}: not valid JSON: {exc}") from exc

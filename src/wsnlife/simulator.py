@@ -28,18 +28,19 @@ cumulative receive count.  The members of a ``balanced-rotating`` sphere
 take turns at one workload, and the member whose turn starts the period
 dies no later than the others, so one search per sphere finds the run's
 end: skip the whole periods that member's battery covers, then bisect
-within one period; each ``static-tree`` node is a sphere of its own.
-``round-robin-parent`` has no per-node closed form, because a node's
-receives depend on the rotation state of every node upstream of it; its
-shared schedule is stepped with running counts, never past the cap or the
-first death, and at most one period before the whole periods every node
-survives are skipped.
+within one period.  The graph strategies send each node's packets to its
+parents in turn (one parent under ``static-tree``), so a node's receives
+depend on the cycles of every node upstream of it.  Their shared schedule
+is stepped, testing only the busiest node, never past the cap or the first
+death, and at most one period before the whole periods every node survives
+are skipped.
 """
 
 import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .bounds import BoundsReport
@@ -164,8 +165,6 @@ class Rotation(NamedTuple):
         """Packets the member at ``pos`` receives over iterations ``[0, t)``:
         its extras are those the leader gets over ``[lag, lag + t)``, and over
         ``[0, x)`` the leader gets ``x // size * remainder + min(remainder, x % size)``."""
-        if not self.remainder:  # every member receives the same each iteration
-            return self.share * t
         size = len(self.members)
         lag = (self.remainder - 1 - pos) % size
         whole, rest = divmod(lag + t, size)
@@ -175,13 +174,13 @@ class Rotation(NamedTuple):
 def build_workload(strategy: str, topology: Topology, partition: SpherePartition, seed: int):
     """The closed form and the per-iteration packet counts of a strategy.
 
-    Returns ``(rotations, counts_fn)``: one ``Rotation`` per sphere, its
-    members shuffled, under ``balanced-rotating``, and one per battery node
-    under ``static-tree``.  ``round-robin-parent`` has no closed form, and
-    returns in place of ``rotations`` the period of its counts, the lcm of
-    all parent-candidate counts.  ``counts_fn(i)`` maps each battery node
-    to its (receives, transmits) for iteration ``i``; it is a pure function
-    of the iteration index.
+    Returns ``(workload, counts_fn)``.  Under ``balanced-rotating`` the
+    workload is one ``Rotation`` per sphere, its members shuffled.  Under the
+    graph strategies each node cycles through its parents, one per iteration
+    (all inner neighbours shuffled, or one of them under ``static-tree``), and
+    the workload is the period of the counts, the lcm of the cycle lengths.
+    ``counts_fn(i)`` maps each battery node to its (receives, transmits) for
+    iteration ``i``; it is a pure function of the iteration index.
     """
     rng = random.Random(seed)
     n_total = partition.total
@@ -209,68 +208,51 @@ def build_workload(strategy: str, topology: Topology, partition: SpherePartition
         return rotations, counts
 
     neighbors = topology.neighbors
-
-    def candidates_for(j, v):
-        inner = partition.spheres[j - 1]
-        found = sorted((u for u in neighbors[v] if u in inner), key=node_key)
-        if not found:
-            raise InvalidStrategyForTopology(
-                f"node {node_key(v)!r} has no neighbor one hop closer to the base"
-            )
-        return found
-
-    if strategy == "static-tree":
-        subtree = dict.fromkeys(topology.nodes, 1)
-        static = {}  # nodes outermost first
-        for j in range(partition.k, 0, -1):
-            for v in spheres[j]:
-                # every node routing through v is in an outer sphere, so its subtree is complete
-                size = subtree[v]
-                subtree[rng.choice(candidates_for(j, v))] += size
-                static[v] = (size - 1, size)
-
-        def counts(iteration: int) -> dict:
-            return static
-
-        return [Rotation([v], r, 0) for v, (r, _) in static.items()], counts
-
-    # round-robin-parent
-    cycles = {}  # node -> shuffled candidate list, spheres outermost first
+    cycles = {}  # node -> its parents in turn, spheres outermost first
     for j in range(partition.k, 0, -1):
+        inner = partition.spheres[j - 1]
         for v in spheres[j]:
-            cands = candidates_for(j, v)
-            rng.shuffle(cands)
+            cands = sorted((u for u in neighbors[v] if u in inner), key=node_key)
+            if not cands:
+                raise InvalidStrategyForTopology(
+                    f"node {node_key(v)!r} has no neighbor one hop closer to the base"
+                )
+            if strategy == "static-tree":
+                cands = [rng.choice(cands)]
+            else:
+                rng.shuffle(cands)
             cycles[v] = cands
 
     base = topology.base
+    period = math.lcm(*(len(c) for c in cycles.values()))
 
-    def counts(iteration: int) -> dict:
+    @lru_cache(maxsize=1)  # so a period-1 schedule, such as static-tree's, is counted once
+    def counts(phase: int) -> dict:
         received = {v: 0 for v in cycles}
         out = {}
         for v, cands in cycles.items():  # senders before their parents
             sends = 1 + received[v]
-            parent = cands[iteration % len(cands)]
+            parent = cands[phase % len(cands)]
             if parent != base:
                 received[parent] += sends
             out[v] = (received[v], sends)
         return out
 
-    # receives depend on the whole rotation state, so every node shares the
-    # global period and `simulate` steps `counts`
-    return math.lcm(*(len(c) for c in cycles.values())), counts
+    return period, lambda iteration: counts(iteration % period)
 
 
 def _step_shared_schedule(counts_fn, nodes, period, cap, budget, drain):
     """Step a workload that every node shares to its first death or the cap.
 
-    Returns ``(completed, received, first_dead)``, where ``received`` maps
-    each node to its receive count over ``[0, completed)``.  The first
-    period is stepped to its end, the first death or the cap.  If every
-    node outlives it, the whole periods that all nodes survive are skipped
-    and only the period that holds the death or the cap is stepped again.
-    So at most twice min(period, cap, death + 1) iterations are stepped,
-    with a running count per node.
+    Returns ``(completed, received, received_next)``: each node's receive
+    count over ``[0, completed)`` and, short of the cap, ``[0, completed + 1)``.
+    Drain grows with receives, so each step tests only the busiest node.  If
+    every node outlives the first period, the whole periods they all survive
+    are skipped and only the period that holds the death or the cap is
+    stepped again: at most twice min(period, cap, death + 1) iterations.
     """
+    if not nodes:  # only the base station, which never dies
+        return cap, {}, None
 
     def step(whole: int, per_period: dict):
         start = whole * period
@@ -278,22 +260,19 @@ def _step_shared_schedule(counts_fn, nodes, period, cap, budget, drain):
         for i in range(start, min(start + period, cap)):
             counts = counts_fn(i)
             after = {v: received[v] + counts[v][0] for v in nodes}
-            # nodes are in node_key order, so the first overrun is first_dead
-            dead = next((v for v in nodes if drain(i + 1, after[v]) > budget), None)
-            if dead is not None:
-                return i, received, dead
+            if drain(i + 1, max(after.values())) > budget:
+                return i, received, after
             received = after
         return min(start + period, cap), received, None
 
-    completed, received, first_dead = step(0, dict.fromkeys(nodes, 0))
-    if first_dead is None and completed < cap:
+    completed, received, received_next = step(0, dict.fromkeys(nodes, 0))
+    if received_next is None and completed < cap:
         whole = cap // period
-        for v in nodes:
-            per_period = drain(period, received[v])
-            if per_period:
-                whole = min(whole, budget // per_period)
-        completed, received, first_dead = step(whole, received)
-    return completed, received, first_dead
+        per_period = drain(period, max(received.values()))
+        if per_period:
+            whole = min(whole, budget // per_period)
+        completed, received, received_next = step(whole, received)
+    return completed, received, received_next
 
 
 def iteration_cost(model: EnergyModel, config: SimConfig):
@@ -330,12 +309,9 @@ def simulate(
 ) -> SimResult:
     """Run the collection protocol until the first death or the iteration cap.
 
-    One death search per ``Rotation`` finds the run's end, the earliest
-    death of a rotation's leader or the cap; then each node's spend, and
-    whether it dies then too, is O(1) arithmetic.  ``round-robin-parent``
-    is stepped instead, at most twice min(period, cap, first death)
-    iterations.  Among the nodes that die first, the one with the smallest
-    ``node_key`` is ``first_dead``.
+    The run ends at the earliest death or the cap.  A node dies then when
+    one more iteration would overrun its battery, and among those the
+    smallest ``node_key`` is ``first_dead``.
 
     ``trace``, if given, is called as ``trace(iteration, counts)`` for each
     completed iteration in order, with the per-node (receives, transmits)
@@ -343,7 +319,7 @@ def simulate(
     not change how the run is computed.
     """
     _check_partition(topology, partition)
-    rotations, counts_fn = build_workload(config.strategy, topology, partition, config.seed)
+    workload, counts_fn = build_workload(config.strategy, topology, partition, config.seed)
 
     cost, budget, scale = iteration_cost(model, config)
     relay, own = cost(1, 1, 0), cost(0, 1, 1)  # per relayed packet; per iteration, own packet and overhead
@@ -370,22 +346,21 @@ def simulate(
         fits = bisect_right(range(1, size), left, key=leader_drain)
         return min(cap, whole * size + fits)
 
-    if config.strategy == "round-robin-parent":
-        period = rotations  # returned in their place: this strategy has no rotations
-        nodes = sorted(topology.nodes - {topology.base}, key=node_key)
-        completed, received, first_dead = _step_shared_schedule(
-            counts_fn, nodes, period, cap, budget, drain
+    if config.strategy == "balanced-rotating":
+        completed = min(map(lifetime, workload), default=cap)
+        received, received_next = (
+            {v: rotation.received(pos, t) for rotation in workload for pos, v in enumerate(rotation.members)}
+            for t in (completed, completed + 1)
         )
-        spent_by_node = {v: drain(completed, received[v]) for v in nodes}
     else:
-        completed = min(map(lifetime, rotations), default=cap)
-        spent_by_node, dying = {}, []
-        for rotation in rotations:
-            for pos, v in enumerate(rotation.members):
-                spent_by_node[v] = drain(completed, rotation.received(pos, completed))
-                if completed < cap and drain(completed + 1, rotation.received(pos, completed + 1)) > budget:
-                    dying.append(v)
-        first_dead = min(dying, key=node_key, default=None)
+        nodes = topology.nodes - {topology.base}
+        completed, received, received_next = _step_shared_schedule(
+            counts_fn, nodes, workload, cap, budget, drain
+        )
+    spent_by_node = {v: drain(completed, r) for v, r in received.items()}
+    # a node dies when one more iteration would overrun its battery; none does at the cap
+    dying = [v for v, r in received_next.items() if drain(completed + 1, r) > budget] if completed < cap else []
+    first_dead = min(dying, key=node_key, default=None)
 
     # a network of only the base station has nothing to trace, however long it runs
     if trace is not None and partition.total > 1:

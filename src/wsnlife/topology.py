@@ -8,7 +8,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import Error
+from .errors import Error, read_json
 
 NodeId = str | int
 _ID_TYPES = {str, int}  # exact types: bool and float ids compare equal to ints
@@ -212,11 +212,7 @@ def topology_from_dict(doc: dict, source: str = "<topology>") -> Topology:
 
 def load_topology(path) -> Topology:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise TopologyError(f"{path}: not valid JSON: {exc}") from exc
-    return topology_from_dict(doc, source=str(path))
+    return topology_from_dict(read_json(path, TopologyError), source=str(path))
 
 
 def save_topology(topology: Topology, path) -> None:

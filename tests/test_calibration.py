@@ -11,7 +11,6 @@ from wsnlife.calibration import (
     load_readings,
     profile_from_readings,
     reading_energy,
-    reading_energy_exact,
 )
 from wsnlife.energy_model import CC2420_PAPER, build_model, send_energy, receive_energy
 from wsnlife.exact import as_exact, round_half_up
@@ -35,7 +34,7 @@ def test_cca_reading_energy():
     energy = reading_energy(CCA)
     assert energy == pytest.approx(0.0806, abs=0.0005)
     assert round_half_up(energy) == 0.08
-    assert reading_energy_exact(CCA) == formula_mj("3.2", "0.0014")
+    assert reading_energy(CCA) == formula_mj("3.2", "0.0014")
 
 
 def test_listening_reading_energy():
@@ -86,7 +85,7 @@ def test_identical_traces_give_symmetric_rates():
 
 def test_doubling_scope_voltage_doubles_energy():
     doubled = ScopeReading(v_scope=6.4, duration=0.0014)
-    assert reading_energy_exact(doubled) == 2 * reading_energy_exact(CCA)
+    assert reading_energy(doubled) == 2 * reading_energy(CCA)
     profile = profile_from_readings(CCA, LISTEN, TX, RX)
     boosted = profile_from_readings(
         ScopeReading(v_scope=6.4, duration=0.0014), LISTEN, TX, RX
@@ -95,18 +94,18 @@ def test_doubling_scope_voltage_doubles_energy():
 
 
 def test_reading_energy_linearity_in_each_knob():
-    base = reading_energy_exact(ScopeReading(2.0, 0.01))
-    assert reading_energy_exact(ScopeReading(4.0, 0.01)) == 2 * base
-    assert reading_energy_exact(ScopeReading(2.0, 0.02)) == 2 * base
-    assert reading_energy_exact(ScopeReading(2.0, 0.01, gain=196)) == base / 2
-    assert reading_energy_exact(ScopeReading(2.0, 0.01, r_sense=3.4)) == base / 2
+    base = reading_energy(ScopeReading(2.0, 0.01))
+    assert reading_energy(ScopeReading(4.0, 0.01)) == 2 * base
+    assert reading_energy(ScopeReading(2.0, 0.02)) == 2 * base
+    assert reading_energy(ScopeReading(2.0, 0.01, gain=196)) == base / 2
+    assert reading_energy(ScopeReading(2.0, 0.01, r_sense=3.4)) == base / 2
 
 
 def test_mean_over_repeated_readings():
     # energy is linear in v_scope, so averaging two symmetric traces lands on the middle one
     pair = (ScopeReading(3.0, 0.0014), ScopeReading(3.4, 0.0014))
     profile = profile_from_readings(pair, LISTEN, TX, RX)
-    assert profile.e_cca == reading_energy(CCA)
+    assert profile.e_cca == float(reading_energy(CCA))
 
 
 def test_explicit_block_readings_take_precedence():
@@ -114,7 +113,7 @@ def test_explicit_block_readings_take_precedence():
     profile = profile_from_readings(
         CCA, LISTEN, TX, RX, block_readings={("rx", 11): block}
     )
-    assert profile.block_overrides[("rx", 11)] == reading_energy(block)
+    assert profile.block_overrides[("rx", 11)] == float(reading_energy(block))
     # the other overrides still come from extrapolation
     assert profile.block_overrides[("tx", 11)] == pytest.approx(1.322, abs=0.0005)
 

@@ -411,6 +411,51 @@ def test_calibrate_missing_readings_file(capsys, tmp_path):
     assert "not found" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("partition", "{dir}"),
+        ("calibrate", "{dir}"),
+        ("partition", "{undecodable}"),
+        ("bounds", FIXTURE_29, "--profile", "{dir}"),
+        ("partition", FIXTURE_29, "-o", "{dir}"),
+        ("simulate", FIXTURE_29, "--battery", "1", "--trace", "{missing}/trace.csv"),
+        ("calibrate", "cc2420.readings.json", "-o", "{missing}/profile.json"),
+    ],
+    ids=["read-dir", "readings-dir", "undecodable", "profile-dir", "output-dir", "trace-dir", "calibrate-output-dir"],
+)
+def test_unusable_file_paths_are_input_errors(capsys, tmp_path, argv):
+    undecodable = tmp_path / "bom.topology.json"
+    undecodable.write_bytes(b'\xff\xfe{"nodes": []}')
+    paths = {"dir": tmp_path, "missing": tmp_path / "absent", "undecodable": undecodable}
+    code, _, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_trace_format_writes_the_trace_to_the_output_file(capsys, tmp_path):
+    command = ("simulate", FIXTURE_29, "--battery", "0.5", "--format", "trace")
+    code, expected, _ = run_cli(capsys, *command)
+    assert code == 0
+    out_path = tmp_path / "trace.csv"
+    code, out, _ = run_cli(capsys, *command, "-o", str(out_path))
+    assert code == 0
+    assert out == ""
+    assert out_path.read_text().splitlines() == expected.splitlines()
+    assert len(expected.splitlines()) > 1
+
+
+def test_trace_option_with_trace_format_is_an_input_error(capsys, tmp_path):
+    trace_path = tmp_path / "trace.csv"
+    code, out, err = run_cli(
+        capsys, "simulate", FIXTURE_29, "--format", "trace", "--trace", str(trace_path),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert not trace_path.exists()
+
+
 def _sometimes(extremes, ordinary):
     """A flag value as typed: one of ``extremes`` one time in four, so that
     most commands still run to the end."""

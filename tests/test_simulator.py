@@ -123,6 +123,9 @@ def _reference_cases():
     # batteries that exactly one iteration empties: a node may spend all of it
     yield STAR, 0.00378, 10**9, 0.0, 0
     yield CHAIN, 0.01183, 10**9, 0.0, 0
+    # batteries that run out exactly at the cap: the run is capped, and no node dies
+    yield STAR, 0.0378, 10, 0.0, 0
+    yield CHAIN, 0.1183, 10, 0.0, 0
     # the relay z dies at once; the leaf a, which sorts first, would spend
     # exactly its battery in that iteration, so it must not count as dying
     yield make({"B", "z", "a"}, {("B", "z"), ("z", "a")}, "B"), 0.00378, 10**9, 0.0, 0
@@ -209,13 +212,23 @@ def test_graph_strategies_route_whole_subtrees_on_spanning_trees():
                 assert counts_fn(iteration) == expected, (strategy, sorted(edges))
 
 
-def test_zero_energy_model_reaches_the_default_cap_quickly():
+def test_static_tree_counts_its_single_routing_once():
+    # a period-1 schedule routes every iteration alike, so replaying a trace
+    # reuses the first iteration's counts instead of recounting them
+    topo = example29()
+    _, counts_fn = build_workload("static-tree", topo, partition(topo), seed=0)
+    assert counts_fn(5) is counts_fn(0)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_zero_energy_model_reaches_the_default_cap_quickly(strategy):
     # nothing ever drains, so the run must skip to the cap instead of stepping
-    # 10**9 iterations of a 5355-iteration schedule one at a time
+    # 10**9 iterations of a schedule (5355 iterations under balanced-rotating,
+    # 2 under round-robin-parent, 1 under static-tree) one at a time
     topo = layered_topology((1, 5, 7, 9, 17))
     free = EnergyModel(0, 0, 0, 0, 18, 11)
     started = time.perf_counter()
-    result = simulate(topo, partition(topo), free, SimConfig())
+    result = simulate(topo, partition(topo), free, SimConfig(strategy=strategy))
     elapsed = time.perf_counter() - started
     assert result.cap_reached
     assert result.first_dead is None
@@ -364,13 +377,17 @@ def test_iteration_cap_reported_not_fatal():
     assert not verdict.lower_enforced  # capped runs only check the upper bound
 
 
-def test_single_node_network_runs_to_cap():
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_single_node_network_runs_to_cap(strategy):
     solo = make({"B"}, set(), "B")
-    result, _, _ = run(solo, battery_joules=1.0, max_iterations=17)
-    assert result.completed_iterations == 17
-    assert result.cap_reached
-    assert result.per_node_spent == {}
-    assert result.base_station_spent == 0.0
+    # no battery node can run out, even of a battery below one send (3.78 mJ)
+    for battery in (1.0, 0.001):
+        result, _, _ = run(solo, strategy=strategy, battery_joules=battery, max_iterations=17)
+        assert result.completed_iterations == 17
+        assert result.cap_reached
+        assert result.first_dead is None
+        assert result.per_node_spent == {}
+        assert result.base_station_spent == 0.0
 
 
 def test_validate_raises_on_fabricated_violation():
