@@ -219,8 +219,7 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def _sweep_worker(job):
-    topo, part, model, config, report = job
+def _sweep_worker(topo, part, model, config, report):
     result = simulate(topo, part, model, config)
     row = {
         "strategy": config.strategy,
@@ -281,18 +280,7 @@ def cmd_sweep(args) -> int:
     ]
     # the bounds depend on nothing that varies between runs
     report = lifetime_bounds(part, model, args.payload, args.battery, args.interval)
-    jobs = [(topo, part, model, config, report) for config in configs]
-
-    # the pool starts all its workers at once, so never more than there are runs
-    workers = min(args.jobs, len(jobs))
-    if workers > 1:
-        # imported here: loading multiprocessing costs every other command about 20 ms
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_worker, jobs))
-    else:
-        rows = [_sweep_worker(job) for job in jobs]
+    rows = [_sweep_worker(topo, part, model, config, report) for config in configs]
 
     violations = [r for r in rows if r["violation"]]
     if args.format == "structured":
@@ -393,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-iterations", type=int, default=10**9, help="iteration cap per run (default: 1e9)"
     )
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes (default: 1)")
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored: runs are serial")
     _add_output_options(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -10,5 +10,6 @@ def read_json(path: Path, error: type[Error]):
     """The JSON document in the file at ``path``, or ``error`` if its text is not JSON."""
     try:
         return json.loads(path.read_text())
-    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError on undecodable bytes
+    # a JSONDecodeError, a UnicodeDecodeError on undecodable bytes, or nesting too deep to decode
+    except (ValueError, RecursionError) as exc:
         raise error(f"{path}: not valid JSON: {exc}") from exc

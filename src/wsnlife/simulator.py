@@ -30,10 +30,12 @@ dies no later than the others, so one search per sphere finds the run's
 end: skip the whole periods that member's battery covers, then bisect
 within one period.  The graph strategies send each node's packets to its
 parents in turn (one parent under ``static-tree``), so a node's receives
-depend on the cycles of every node upstream of it.  Their shared schedule
-is stepped, testing only the busiest node, never past the cap or the first
-death, and at most one period before the whole periods every node survives
-are skipped.
+depend on the cycles of every node upstream of it.  Their battery nodes are
+indexed once, outermost sphere first, so one pass over a list of ints
+routes an iteration.  Their shared schedule is stepped on such lists,
+testing only the busiest node, never past the cap or the first death, and
+at most one period before the whole periods every node survives are
+skipped.
 """
 
 import math
@@ -41,6 +43,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 from typing import NamedTuple
 
 from .bounds import BoundsReport
@@ -178,7 +181,10 @@ def build_workload(strategy: str, topology: Topology, partition: SpherePartition
     workload is one ``Rotation`` per sphere, its members shuffled.  Under the
     graph strategies each node cycles through its parents, one per iteration
     (all inner neighbours shuffled, or one of them under ``static-tree``), and
-    the workload is the period of the counts, the lcm of the cycle lengths.
+    the workload is ``(order, period, receives)``: the battery nodes,
+    outermost sphere first and each sphere in ``node_key`` order; the period
+    of the counts, the lcm of the cycle lengths; and ``receives(i)``, the
+    nodes' receive counts at iteration ``i`` as a list in ``order``.
     ``counts_fn(i)`` maps each battery node to its (receives, transmits) for
     iteration ``i``; it is a pure function of the iteration index.
     """
@@ -207,12 +213,15 @@ def build_workload(strategy: str, topology: Topology, partition: SpherePartition
 
         return rotations, counts
 
+    order = [v for sphere in reversed(spheres[1:]) for v in sphere]  # battery nodes, outermost sphere first
+    index = {v: i for i, v in enumerate(order + spheres[0])}  # the base takes the slot after the last node
     neighbors = topology.neighbors
-    cycles = {}  # node -> its parents in turn, spheres outermost first
+    cycles = []  # per node of `order`, the indices of its parents in turn
     for j in range(partition.k, 0, -1):
         inner = partition.spheres[j - 1]
         for v in spheres[j]:
-            cands = sorted((u for u in neighbors[v] if u in inner), key=node_key)
+            # an inner sphere's slots follow node_key order, so this sorts by node_key
+            cands = sorted(index[u] for u in neighbors[v] if u in inner)
             if not cands:
                 raise InvalidStrategyForTopology(
                     f"node {node_key(v)!r} has no neighbor one hop closer to the base"
@@ -221,58 +230,57 @@ def build_workload(strategy: str, topology: Topology, partition: SpherePartition
                 cands = [rng.choice(cands)]
             else:
                 rng.shuffle(cands)
-            cycles[v] = cands
+            cycles.append(cands)
 
-    base = topology.base
-    period = math.lcm(*(len(c) for c in cycles.values()))
+    period = math.lcm(*map(len, cycles))
+
+    def receives(iteration: int) -> list:
+        """Each node's receives at ``iteration``, in ``order``; senders come before their parents."""
+        received = [0] * len(index)
+        for v, cands in enumerate(cycles):
+            received[cands[iteration % len(cands)]] += 1 + received[v]
+        del received[-1]  # the base's
+        return received
 
     @lru_cache(maxsize=1)  # so a period-1 schedule, such as static-tree's, is counted once
     def counts(phase: int) -> dict:
-        received = {v: 0 for v in cycles}
-        out = {}
-        for v, cands in cycles.items():  # senders before their parents
-            sends = 1 + received[v]
-            parent = cands[phase % len(cands)]
-            if parent != base:
-                received[parent] += sends
-            out[v] = (received[v], sends)
-        return out
+        return {v: (r, r + 1) for v, r in zip(order, receives(phase))}
 
-    return period, lambda iteration: counts(iteration % period)
+    return (order, period, receives), lambda iteration: counts(iteration % period)
 
 
-def _step_shared_schedule(counts_fn, nodes, period, cap, budget, drain):
+def _step_shared_schedule(order, period, receives, cap, budget, drain):
     """Step a workload that every node shares to its first death or the cap.
 
     Returns ``(completed, received, received_next)``: each node's receive
     count over ``[0, completed)`` and, short of the cap, ``[0, completed + 1)``.
-    Drain grows with receives, so each step tests only the busiest node.  If
-    every node outlives the first period, the whole periods they all survive
-    are skipped and only the period that holds the death or the cap is
-    stepped again: at most twice min(period, cap, death + 1) iterations.
+    The counts are lists in ``order`` until the end.  Drain grows with
+    receives, so each step tests only the busiest node.  If every node
+    outlives the first period, the whole periods they all survive are skipped
+    and only the period that holds the death or the cap is stepped again: at
+    most twice min(period, cap, death + 1) iterations.
     """
-    if not nodes:  # only the base station, which never dies
+    if not order:  # only the base station, which never dies
         return cap, {}, None
 
-    def step(whole: int, per_period: dict):
+    def step(whole: int, per_period: list):
         start = whole * period
-        received = {v: whole * per_period[v] for v in nodes}
+        received = [whole * r for r in per_period]
         for i in range(start, min(start + period, cap)):
-            counts = counts_fn(i)
-            after = {v: received[v] + counts[v][0] for v in nodes}
-            if drain(i + 1, max(after.values())) > budget:
+            after = list(map(add, received, receives(i)))
+            if drain(i + 1, max(after)) > budget:
                 return i, received, after
             received = after
         return min(start + period, cap), received, None
 
-    completed, received, received_next = step(0, dict.fromkeys(nodes, 0))
+    completed, received, received_next = step(0, [0] * len(order))
     if received_next is None and completed < cap:
         whole = cap // period
-        per_period = drain(period, max(received.values()))
+        per_period = drain(period, max(received))
         if per_period:
             whole = min(whole, budget // per_period)
         completed, received, received_next = step(whole, received)
-    return completed, received, received_next
+    return completed, dict(zip(order, received)), received_next and dict(zip(order, received_next))
 
 
 def iteration_cost(model: EnergyModel, config: SimConfig):
@@ -353,10 +361,7 @@ def simulate(
             for t in (completed, completed + 1)
         )
     else:
-        nodes = topology.nodes - {topology.base}
-        completed, received, received_next = _step_shared_schedule(
-            counts_fn, nodes, workload, cap, budget, drain
-        )
+        completed, received, received_next = _step_shared_schedule(*workload, cap, budget, drain)
     spent_by_node = {v: drain(completed, r) for v, r in received.items()}
     # a node dies when one more iteration would overrun its battery; none does at the cap
     dying = [v for v, r in received_next.items() if drain(completed + 1, r) > budget] if completed < cap else []

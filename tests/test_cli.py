@@ -3,6 +3,7 @@ import json
 import shutil
 import subprocess
 import sys
+import textwrap
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -181,12 +182,25 @@ def test_unexpected_exception_is_an_internal_error_not_exit_1(capsys, monkeypatc
 
 
 def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # nor does a sweep load it, whatever --jobs says: its runs are serial
     src = Path(wsnlife.__file__).resolve().parent.parent
-    probe = "import sys, wsnlife.cli; print('multiprocessing' in sys.modules)"
+    probe = textwrap.dedent(f"""
+        import contextlib, io, sys, wsnlife.cli
+        print('multiprocessing' in sys.modules)
+        docs = []
+        for jobs in ('4', '1'):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                argv = ['sweep', {FIXTURE_29!r}, '--battery', '1', '--seeds', '0..1', '--jobs', jobs]
+                code = wsnlife.cli.main([*argv, '--format', 'structured'])
+            docs.append((code, out.getvalue()))
+        print('multiprocessing' in sys.modules)
+        print(docs[0] == docs[1], docs[0][0], docs[0][1].count('"strategy"'))
+    """)
     out = subprocess.run(
         [sys.executable, "-c", probe], cwd=src, capture_output=True, text=True, check=True,
     ).stdout
-    assert out.strip() == "False"
+    assert out.splitlines() == ["False", "False", "True 0 6"]
 
 
 def test_closed_stdout_exits_141_without_a_traceback():
@@ -263,35 +277,6 @@ def test_sweep_table_lists_every_run(capsys):
     assert code == 0
     assert len(out.splitlines()) == 4
     assert "VIOLATION" not in out
-
-
-def test_sweep_starts_no_more_workers_than_runs(capsys, monkeypatch):
-    import concurrent.futures
-
-    pools = []
-
-    class InProcessPool:
-        """Records the requested worker count and maps in this process."""
-
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    args = ("sweep", FIXTURE_29, "--battery", "1", "--seeds", "0", "--format", "structured")
-    serial = run_cli(capsys, *args, "--jobs", "1")
-    assert run_cli(capsys, *args, "--jobs", "64") == serial  # 3 runs: 3 workers
-    assert run_cli(capsys, *args, "--jobs", "2") == serial
-    assert run_cli(capsys, *args, "--strategies", "static-tree", "--jobs", "64")[0] == 0  # 1 run: no pool
-    assert pools == [3, 2]
 
 
 def test_sweep_builds_the_bounds_report_once(capsys, monkeypatch):
@@ -421,13 +406,21 @@ def test_calibrate_missing_readings_file(capsys, tmp_path):
         ("partition", FIXTURE_29, "-o", "{dir}"),
         ("simulate", FIXTURE_29, "--battery", "1", "--trace", "{missing}/trace.csv"),
         ("calibrate", "cc2420.readings.json", "-o", "{missing}/profile.json"),
+        ("partition", "{deep}"),
+        ("bounds", FIXTURE_29, "--profile", "{deep}"),
+        ("calibrate", "{deep}"),
     ],
-    ids=["read-dir", "readings-dir", "undecodable", "profile-dir", "output-dir", "trace-dir", "calibrate-output-dir"],
+    ids=[
+        "read-dir", "readings-dir", "undecodable", "profile-dir", "output-dir", "trace-dir", "calibrate-output-dir",
+        "deep-topology", "deep-profile", "deep-readings",
+    ],
 )
 def test_unusable_file_paths_are_input_errors(capsys, tmp_path, argv):
     undecodable = tmp_path / "bom.topology.json"
     undecodable.write_bytes(b'\xff\xfe{"nodes": []}')
-    paths = {"dir": tmp_path, "missing": tmp_path / "absent", "undecodable": undecodable}
+    deep = tmp_path / "deep.json"  # nested past what the decoder can recurse into
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    paths = {"dir": tmp_path, "missing": tmp_path / "absent", "undecodable": undecodable, "deep": deep}
     code, _, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -470,7 +463,7 @@ _caps = _sometimes(["0", "-1", str(10**400)], st.integers(1, 10**9))
 @st.composite
 def _cli_argvs(draw):
     """A ``bounds``, ``simulate`` or ``sweep`` command on the 29-node example
-    with drawn flag values; ``--jobs`` stays <= 1 so no process is started."""
+    with drawn flag values; ``--jobs`` is accepted whatever its value."""
     command = draw(st.sampled_from(["bounds", "simulate", "sweep"]))
     flags = {
         "--payload": draw(_payloads),
@@ -486,7 +479,7 @@ def _cli_argvs(draw):
     if command == "sweep":
         first = draw(st.integers(-(10**6), 10**6))
         flags["--seeds"] = f"{first}..{first + draw(st.integers(-1, 2))}"
-        flags["--jobs"] = str(draw(st.integers(-2, 1)))
+        flags["--jobs"] = str(draw(st.integers(-2, 64)))
     # --flag=value keeps argparse from reading "-1" or "-inf" as an option
     return [command, FIXTURE_29, *(f"{flag}={value}" for flag, value in flags.items())]
 
