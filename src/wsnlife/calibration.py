@@ -165,6 +165,8 @@ _ENTRY_FIELDS = {"v_scope", "duration_ms", "gain", "r_sense", "v_supply", "byte_
 
 
 def _parse_entry(entry: dict, rig: dict, source: str, packet: bool) -> ScopeReading:
+    if not isinstance(entry, dict):
+        raise ReadingsError(f"{source}: a reading must be an object, got {entry!r}")
     unknown = set(entry) - _ENTRY_FIELDS
     if unknown:
         raise ReadingsError(f"{source}: unknown fields: {', '.join(sorted(unknown))}")
@@ -173,13 +175,17 @@ def _parse_entry(entry: dict, rig: dict, source: str, packet: bool) -> ScopeRead
             raise ReadingsError(f"{source}: missing field {required!r}")
     if not packet and ("byte_count" in entry or "excluded_preamble_bytes" in entry):
         raise ReadingsError(f"{source}: byte counts only belong on tx/rx entries")
-    duration = float(as_exact(entry["duration_ms"]) / 1000)
+    values = {**rig, **entry}
+    for field, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ReadingsError(f"{source}: {field} must be a number, got {value!r}")
+    duration = float(as_exact(values["duration_ms"]) / 1000)
     return ScopeReading(
-        v_scope=entry["v_scope"],
+        v_scope=values["v_scope"],
         duration=duration,
-        gain=entry.get("gain", rig["gain"]),
-        r_sense=entry.get("r_sense", rig["r_sense"]),
-        v_supply=entry.get("v_supply", rig["v_supply"]),
+        gain=values["gain"],
+        r_sense=values["r_sense"],
+        v_supply=values["v_supply"],
     )
 
 

@@ -139,14 +139,14 @@ def _make_trace_writer(topo, model, config, stream):
     writer = csv.writer(stream)
     writer.writerow(["iteration", "node", "receives", "transmits", "energy_mj"])
     keyed = sorted((node_key(v), v) for v in topo.nodes - {topo.base})
-    energies = {}  # (receives, transmits) -> report float; a run has few distinct pairs
+    energies = {}  # receives -> report float; a run has few distinct counts
 
-    def trace(iteration, counts):
+    def trace(iteration, receives):
         for key, v in keyed:
-            pair = counts[v]
-            if pair not in energies:
-                energies[pair] = to_float("trace energy", cost(*pair), scale)
-            writer.writerow([iteration, key, *pair, energies[pair]])
+            r = receives[v]
+            if r not in energies:
+                energies[r] = to_float("trace energy", cost(r, r + 1), scale)
+            writer.writerow([iteration, key, r, r + 1, energies[r]])
 
     return trace
 

@@ -11,7 +11,7 @@ A float entering the exact pipeline is read at its shortest round-trip
 decimal form, i.e. ``0.12`` means 12/100, not the 53-bit binary neighbour.
 """
 
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 
 from .errors import Error
@@ -52,4 +52,6 @@ def round_half_up(x: Number, ndigits: int = 2) -> float:
     else:
         d = Decimal(repr(float(x)))
     exp = Decimal(1).scaleb(-ndigits)
-    return float(d.quantize(exp, rounding=ROUND_HALF_UP))
+    # enough digits for every one left of the point, or quantize raises InvalidOperation
+    context = Context(prec=max(28, d.adjusted() + ndigits + 1))
+    return float(d.quantize(exp, rounding=ROUND_HALF_UP, context=context))

@@ -19,30 +19,30 @@ Three routing strategies are provided:
   through its eligible parents, one per iteration.
 
 Battery drain is exact, so that death iterations match hand arithmetic
-instead of depending on float summation order: the per-packet energies,
-the overhead and the battery are rationals, and the run counts drain in
-integer multiples of their common denominator.  Each node transmits what
-it receives plus its own packet, so its drain after t iterations is
-t * (E(send) + overhead) + R(t) * (E(receive) + E(send)), where R(t) is its
-cumulative receive count.  The members of a ``balanced-rotating`` sphere
-take turns at one workload, and the member whose turn starts the period
-dies no later than the others, so one search per sphere finds the run's
-end: skip the whole periods that member's battery covers, then bisect
-within one period.  The graph strategies send each node's packets to its
-parents in turn (one parent under ``static-tree``), so a node's receives
-depend on the cycles of every node upstream of it.  Their battery nodes are
-indexed once, outermost sphere first, so one pass over a list of ints
-routes an iteration.  Their shared schedule is stepped on such lists,
-testing only the busiest node, never past the cap or the first death, and
-at most one period before the whole periods every node survives are
-skipped.
+instead of depending on float summation order: the per-packet energies and
+the battery are rationals, and the run counts drain in integer multiples
+of their common denominator.  Each node transmits what it receives plus
+its own packet, so its drain after t iterations is t * E(send) + R(t) *
+(E(receive) + E(send)), where R(t) is its cumulative receive count.  Each
+workload kind has one per-iteration rule, every battery node's receives at
+iteration i; it decides who dies at the end of the run, and the trace
+replays it.  The members of a ``balanced-rotating`` sphere take turns at
+one workload, and the member whose turn starts the period dies no later
+than the others, so one search per sphere finds the run's end: skip the
+whole periods that member's battery covers, then bisect within one period.
+The graph strategies send each node's packets to its parents in turn (one
+parent under ``static-tree``), so a node's receives depend on the cycles
+of every node upstream of it.  Their battery nodes are indexed once,
+outermost sphere first, so one pass over a list of ints routes an
+iteration.  Their shared schedule is stepped on such lists, testing only
+the busiest node, never past the cap or the first death, and at most one
+period before the whole periods every node survives are skipped.
 """
 
 import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import add
 from typing import NamedTuple
 
@@ -77,9 +77,6 @@ class SimConfig:
     battery_joules: float = 30780.0
     max_iterations: int = 10**9
     seed: int = 0
-    # hook for overhearing-style drain that is out of the model's scope:
-    # a constant added to every battery node's cost each iteration
-    per_iteration_overhead_mj: float = 0.0
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -92,8 +89,6 @@ class SimConfig:
             raise SimulationError("max_iterations must be >= 1")
         if self.payload_bytes < 0:
             raise SimulationError("payload_bytes must be >= 0")
-        if self.per_iteration_overhead_mj < 0:
-            raise SimulationError("per_iteration_overhead_mj must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -173,20 +168,25 @@ class Rotation(NamedTuple):
         whole, rest = divmod(lag + t, size)
         return self.share * t + whole * self.remainder + min(self.remainder, rest) - min(self.remainder, lag)
 
+    def receives(self, i: int) -> list:
+        """Each member's receives at iteration ``i``, by position."""
+        size = len(self.members)
+        return [self.share + ((pos - i) % size < self.remainder) for pos in range(size)]
+
 
 def build_workload(strategy: str, topology: Topology, partition: SpherePartition, seed: int):
-    """The closed form and the per-iteration packet counts of a strategy.
+    """The workload of a strategy: who receives how many packets at each iteration.
 
-    Returns ``(workload, counts_fn)``.  Under ``balanced-rotating`` the
-    workload is one ``Rotation`` per sphere, its members shuffled.  Under the
-    graph strategies each node cycles through its parents, one per iteration
-    (all inner neighbours shuffled, or one of them under ``static-tree``), and
-    the workload is ``(order, period, receives)``: the battery nodes,
-    outermost sphere first and each sphere in ``node_key`` order; the period
-    of the counts, the lcm of the cycle lengths; and ``receives(i)``, the
-    nodes' receive counts at iteration ``i`` as a list in ``order``.
-    ``counts_fn(i)`` maps each battery node to its (receives, transmits) for
-    iteration ``i``; it is a pure function of the iteration index.
+    Under ``balanced-rotating`` it is one ``Rotation`` per sphere, its
+    members shuffled, and ``Rotation.receives(i)`` gives their receive
+    counts at iteration ``i``.  Under the graph strategies each node cycles through
+    its parents, one per iteration (all inner neighbours shuffled, or one of
+    them under ``static-tree``), and the workload is ``(order, period,
+    receives)``: the battery nodes, outermost sphere first and each sphere in
+    ``node_key`` order; the period of the counts, the lcm of the cycle
+    lengths; and ``receives(i)``, the nodes' receive counts at iteration
+    ``i`` as a list in ``order``.  Each node transmits one more than it
+    receives.  Both rules are pure functions of the iteration index.
     """
     rng = random.Random(seed)
     n_total = partition.total
@@ -199,19 +199,7 @@ def build_workload(strategy: str, topology: Topology, partition: SpherePartition
             rng.shuffle(members)
             inflow = n_total - partition.cumulative[j]
             rotations.append(Rotation(members, *divmod(inflow, len(members))))
-
-        def counts(iteration: int) -> dict:
-            out = {}
-            for members, share, remainder in rotations:
-                size = len(members)
-                offset = iteration % size
-                for pos, v in enumerate(members):
-                    extra = 1 if (pos - offset) % size < remainder else 0
-                    received = share + extra
-                    out[v] = (received, received + 1)
-            return out
-
-        return rotations, counts
+        return rotations
 
     order = [v for sphere in reversed(spheres[1:]) for v in sphere]  # battery nodes, outermost sphere first
     index = {v: i for i, v in enumerate(order + spheres[0])}  # the base takes the slot after the last node
@@ -242,26 +230,21 @@ def build_workload(strategy: str, topology: Topology, partition: SpherePartition
         del received[-1]  # the base's
         return received
 
-    @lru_cache(maxsize=1)  # so a period-1 schedule, such as static-tree's, is counted once
-    def counts(phase: int) -> dict:
-        return {v: (r, r + 1) for v, r in zip(order, receives(phase))}
-
-    return (order, period, receives), lambda iteration: counts(iteration % period)
+    return order, period, receives
 
 
 def _step_shared_schedule(order, period, receives, cap, budget, drain):
     """Step a workload that every node shares to its first death or the cap.
 
-    Returns ``(completed, received, received_next)``: each node's receive
-    count over ``[0, completed)`` and, short of the cap, ``[0, completed + 1)``.
-    The counts are lists in ``order`` until the end.  Drain grows with
-    receives, so each step tests only the busiest node.  If every node
-    outlives the first period, the whole periods they all survive are skipped
-    and only the period that holds the death or the cap is stepped again: at
-    most twice min(period, cap, death + 1) iterations.
+    Returns ``(completed, received)``: each node's receive count over
+    ``[0, completed)``, as a list in ``order``.  Drain grows with receives,
+    so each step tests only the busiest node.  If every node outlives the
+    first period, the whole periods they all survive are skipped and only the
+    period that holds the death or the cap is stepped again: at most twice
+    min(period, cap, death + 1) iterations.
     """
     if not order:  # only the base station, which never dies
-        return cap, {}, None
+        return cap, []
 
     def step(whole: int, per_period: list):
         start = whole * period
@@ -269,35 +252,34 @@ def _step_shared_schedule(order, period, receives, cap, budget, drain):
         for i in range(start, min(start + period, cap)):
             after = list(map(add, received, receives(i)))
             if drain(i + 1, max(after)) > budget:
-                return i, received, after
+                return i, received
             received = after
-        return min(start + period, cap), received, None
+        return min(start + period, cap), received
 
-    completed, received, received_next = step(0, [0] * len(order))
-    if received_next is None and completed < cap:
+    completed, received = step(0, [0] * len(order))
+    if completed == period < cap:  # every node outlived the first period, short of the cap
         whole = cap // period
         per_period = drain(period, max(received))
         if per_period:
             whole = min(whole, budget // per_period)
-        completed, received, received_next = step(whole, received)
-    return completed, dict(zip(order, received)), received_next and dict(zip(order, received_next))
+        completed, received = step(whole, received)
+    return completed, received
 
 
 def iteration_cost(model: EnergyModel, config: SimConfig):
     """``(cost, budget, scale)`` in exact integer units of 1/scale mJ, where
-    ``cost(receives, transmits, iterations=1)`` is receives * E(receive) +
-    transmits * E(send) + iterations * overhead and ``budget`` the battery."""
+    ``cost(receives, transmits)`` is receives * E(receive) + transmits *
+    E(send) and ``budget`` the battery."""
     exact = (
         receive_energy(model, config.payload_bytes),
         send_energy(model, config.payload_bytes),
-        as_exact(config.per_iteration_overhead_mj),
         as_exact(config.battery_joules) * 1000,  # mJ
     )
     scale = math.lcm(*(x.denominator for x in exact))
-    unit_recv, unit_send, unit_overhead, budget = (int(x * scale) for x in exact)
+    unit_recv, unit_send, budget = (int(x * scale) for x in exact)
 
-    def cost(receives: int, transmits: int, iterations: int = 1) -> int:
-        return receives * unit_recv + transmits * unit_send + iterations * unit_overhead
+    def cost(receives: int, transmits: int) -> int:
+        return receives * unit_recv + transmits * unit_send
 
     return cost, budget, scale
 
@@ -321,16 +303,16 @@ def simulate(
     one more iteration would overrun its battery, and among those the
     smallest ``node_key`` is ``first_dead``.
 
-    ``trace``, if given, is called as ``trace(iteration, counts)`` for each
-    completed iteration in order, with the per-node (receives, transmits)
-    mapping.  The calls replay the schedule after the run, so tracing does
-    not change how the run is computed.
+    ``trace``, if given, is called as ``trace(iteration, receives)`` for each
+    completed iteration in order, with each battery node's receive count; it
+    transmits one more.  The calls replay the workload after the run, so
+    tracing does not change how the run is computed.
     """
     _check_partition(topology, partition)
-    workload, counts_fn = build_workload(config.strategy, topology, partition, config.seed)
+    workload = build_workload(config.strategy, topology, partition, config.seed)
 
     cost, budget, scale = iteration_cost(model, config)
-    relay, own = cost(1, 1, 0), cost(0, 1, 1)  # per relayed packet; per iteration, own packet and overhead
+    relay, own = cost(1, 1), cost(0, 1)  # per relayed packet; per iteration, own packet
 
     def drain(t: int, received: int) -> int:
         """Units spent over t iterations by a node that received ``received`` packets."""
@@ -356,21 +338,25 @@ def simulate(
 
     if config.strategy == "balanced-rotating":
         completed = min(map(lifetime, workload), default=cap)
-        received, received_next = (
-            {v: rotation.received(pos, t) for rotation in workload for pos, v in enumerate(rotation.members)}
-            for t in (completed, completed + 1)
-        )
+        order = [v for rotation in workload for v in rotation.members]
+        received = [rotation.received(pos, completed) for rotation in workload for pos in range(len(rotation.members))]
+
+        def receives(i: int) -> list:
+            return [r for rotation in workload for r in rotation.receives(i)]
     else:
-        completed, received, received_next = _step_shared_schedule(*workload, cap, budget, drain)
-    spent_by_node = {v: drain(completed, r) for v, r in received.items()}
+        order, _, receives = workload
+        completed, received = _step_shared_schedule(*workload, cap, budget, drain)
+    spent_by_node = {v: drain(completed, r) for v, r in zip(order, received)}
     # a node dies when one more iteration would overrun its battery; none does at the cap
-    dying = [v for v, r in received_next.items() if drain(completed + 1, r) > budget] if completed < cap else []
+    dying = [] if completed == cap else [
+        v for v, r in zip(order, map(add, received, receives(completed))) if drain(completed + 1, r) > budget
+    ]
     first_dead = min(dying, key=node_key, default=None)
 
     # a network of only the base station has nothing to trace, however long it runs
     if trace is not None and partition.total > 1:
         for i in range(completed):
-            trace(i, counts_fn(i))
+            trace(i, dict(zip(order, receives(i))))
 
     per_sphere_max = {}
     for j in range(1, partition.k + 1):
@@ -386,7 +372,7 @@ def simulate(
         first_dead=first_dead,
         cap_reached=first_dead is None,
         per_node_spent={v: to_float("node energy spent", s, scale) for v, s in spent_by_node.items()},
-        base_station_spent=to_float("base station energy spent", cost(completed * (partition.total - 1), 0, 0), scale),
+        base_station_spent=to_float("base station energy spent", cost(completed * (partition.total - 1), 0), scale),
         per_sphere_max_iteration_energy=per_sphere_max,
     )
 

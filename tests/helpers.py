@@ -56,7 +56,7 @@ def irregular_topology(rng: random.Random, n: int) -> Topology:
     for i in range(1, n):
         lo = 0 if rng.random() < 0.1 else max(0, i - 50)
         edges.add((rng.randrange(lo, i), i))
-    while len(edges) < 2 * n - 1:
+    while len(edges) < min(2 * n - 1, n * (n - 1) // 2):  # a graph of n < 5 nodes holds fewer
         a, b = sorted(rng.sample(range(n), 2))
         edges.add((a, b))
     pairs = frozenset((names[a], names[b]) for a, b in edges)
@@ -102,27 +102,50 @@ def random_partition(rng: random.Random, max_total: int = 50) -> SpherePartition
     return SpherePartition.from_sizes(sizes)
 
 
+def iteration_receives(strategy: str, topology: Topology, partition: SpherePartition, seed: int):
+    """``receives(i)``: each battery node's receive count at iteration ``i``, as a dict.
+
+    Under ``balanced-rotating`` the rotation rule is written out again here,
+    from the workload's members, share and remainder alone, so that the
+    simulator's ``Rotation`` is checked against a separate statement of it.
+    """
+    workload = build_workload(strategy, topology, partition, seed)
+    if strategy != "balanced-rotating":
+        order, _, receives = workload
+        return lambda i: dict(zip(order, receives(i)))
+
+    def rotating(i: int) -> dict:
+        out = {}
+        for members, share, remainder in workload:
+            size = len(members)
+            # the members at positions i, i + 1, ..., i + remainder - 1 (mod size) take one more
+            extra = {members[(i + k) % size] for k in range(remainder)}
+            out.update((v, share + (v in extra)) for v in members)
+        return out
+
+    return rotating
+
+
 def reference_simulate(topology: Topology, partition: SpherePartition, model, config) -> dict:
     """Plain stepper: one iteration at a time on Fractions, no fast-forward.
 
     Returns the fields of ``SimResult`` that the simulator's loop decides,
     so a faster loop can be compared against it field by field.
     """
-    _, counts_fn = build_workload(config.strategy, topology, partition, config.seed)
+    receives = iteration_receives(config.strategy, topology, partition, config.seed)
     e_recv = receive_energy(model, config.payload_bytes)
     e_send = send_energy(model, config.payload_bytes)
-    overhead = as_exact(config.per_iteration_overhead_mj)
     battery = as_exact(config.battery_joules) * 1000
     nodes = sorted(topology.nodes - {topology.base}, key=node_key)
     spent = {v: Fraction(0) for v in nodes}
-    cost = {}  # (receives, transmits) -> mJ, memoised for speed only
+    cost = {}  # receives -> mJ, memoised for speed only
     completed = 0
     first_dead = None
     while completed < config.max_iterations:
-        counts = counts_fn(completed)
-        for r, t in counts.values():
-            if (r, t) not in cost:
-                cost[r, t] = r * e_recv + t * e_send + overhead
+        counts = receives(completed)
+        for r in counts.values():
+            if r not in cost:
+                cost[r] = r * e_recv + (r + 1) * e_send  # a node sends what it receives and its own packet
         after = {v: spent[v] + cost[counts[v]] for v in nodes}
         dying = [v for v in nodes if after[v] > battery]
         if dying:
@@ -136,3 +159,44 @@ def reference_simulate(topology: Topology, partition: SpherePartition, model, co
         "cap_reached": first_dead is None,
         "per_node_spent": {v: float(spent[v]) for v in nodes},
     }
+
+
+def graph_lower_bound(topology: Topology, partition: SpherePartition, model, payload_bytes: int, battery_joules):
+    """A lower bound on any run's iterations that respects the graph's edges.
+
+    A node relays at most the packets of the nodes upstream of it: those with
+    a path to it that descends one sphere per hop.  With lambda the largest
+    upstream count, no node drains more than (r + t) * lambda + t an
+    iteration, so floor(B / that) iterations always complete.  None when that
+    drain is zero, so no node can ever die.  The upstream sets are int
+    bitsets, built in one pass, outermost sphere first.
+    """
+    bit = {v: 1 << i for i, v in enumerate(sorted(topology.nodes, key=node_key))}
+    neighbors = {v: [] for v in topology.nodes}
+    for a, b in topology.edges:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    upstream = {}
+    most = 0
+    for j in range(partition.k, 0, -1):
+        outer = partition.spheres[j + 1] if j < partition.k else frozenset()
+        for v in partition.spheres[j]:
+            up = 0
+            for u in neighbors[v]:
+                if u in outer:
+                    up |= upstream[u] | bit[u]
+            upstream[v] = up
+            most = max(most, up.bit_count())
+    e_recv = receive_energy(model, payload_bytes)
+    e_send = send_energy(model, payload_bytes)
+    drain = (e_recv + e_send) * most + e_send
+    if not drain:
+        return None
+    return math.floor(as_exact(battery_joules) * 1000 / drain)
+
+
+def assert_above_graph_lower_bound(topology: Topology, partition: SpherePartition, model, result):
+    """A run that ended in a death completed at least ``graph_lower_bound`` iterations."""
+    if result.first_dead is not None:
+        bound = graph_lower_bound(topology, partition, model, result.payload_bytes, result.battery_joules)
+        assert bound is not None and result.completed_iterations >= bound, (result.completed_iterations, bound)

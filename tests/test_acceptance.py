@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import hop_distances_oracle, random_connected_topology
+from helpers import assert_above_graph_lower_bound, hop_distances_oracle, random_connected_topology
 from wsnlife.bounds import lifetime_bounds
 from wsnlife.calibration import load_readings, profile_from_readings, reading_energy
 from wsnlife.cli import dumps_canonical
@@ -115,6 +115,7 @@ def _sweep_documents():
             result = simulate(topo, part, MODEL, config)
             verdict = validate_against_bounds(result, report)  # raises BoundViolation on failure
             assert verdict.lower_margin >= 0 and verdict.upper_margin >= 0
+            assert_above_graph_lower_bound(topo, part, MODEL, result)
             documents.append(
                 dumps_canonical(
                     {

@@ -43,6 +43,12 @@ def test_listening_reading_energy():
     assert round_half_up(energy) == 0.58
 
 
+def test_round_half_up_keeps_every_digit_left_of_the_point():
+    # 28 significant digits, the decimal default, would make quantize raise
+    assert round_half_up(Fraction(10**30) + Fraction(1, 200)) == 1e30
+    assert round_half_up(1.1668611435239207e23) == 1.1668611435239207e23
+
+
 def test_send_trace_per_byte_rate():
     total = reading_energy(TX.readings[0])
     assert total == pytest.approx(5.048, abs=0.0005)
@@ -151,4 +157,14 @@ def test_readings_file_validation(tmp_path):
         ' "rx": {"v_scope": 1, "duration_ms": 1, "byte_count": 10}}'
     )
     with pytest.raises(ReadingsError, match="unknown fields"):
+        load_readings(path)
+    # a JSON value other than an object of numbers is an input error too
+    good = '{"v_scope": 1, "duration_ms": 1}'
+    packet = '{"v_scope": 1, "duration_ms": 1, "byte_count": 10}'
+    for cca, match in (("null", "must be an object"), ('[{"v_scope": "1", "duration_ms": 1}]', "v_scope must be a number")):
+        path.write_text(f'{{"cca": {cca}, "listening": {good}, "tx": {packet}, "rx": {packet}}}')
+        with pytest.raises(ReadingsError, match=match):
+            load_readings(path)
+    path.write_text(f'{{"gain": [98], "cca": {good}, "listening": {good}, "tx": {packet}, "rx": {packet}}}')
+    with pytest.raises(ReadingsError, match="gain must be a number"):
         load_readings(path)

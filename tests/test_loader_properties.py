@@ -1,10 +1,18 @@
 """Property tests: the file loaders turn any parsed JSON into a value or an Error."""
 
+import io
+import json
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wsnlife.cli import main
 from wsnlife.energy_model import RadioProfile, profile_from_dict
 from wsnlife.errors import Error
+from wsnlife.fixtures import fixture_path
 from wsnlife.frame_model import FrameConfig
 from wsnlife.topology import Topology, node_key, partition, topology_from_dict
 
@@ -107,3 +115,39 @@ def test_profile_loader_returns_a_profile_or_raises_error(doc):
         return
     assert isinstance(profile, RadioProfile)
     assert frame is None or isinstance(frame, FrameConfig)
+
+
+def _bundled_readings() -> dict:
+    with open(fixture_path("cc2420.readings.json")) as f:
+        return json.load(f)
+
+
+def _files(documents):
+    """File contents: ``documents`` as JSON, or random bytes one time in four."""
+    as_json = documents.map(lambda doc: json.dumps(doc).encode())
+    return st.integers(0, 3).flatmap(lambda i: st.binary(max_size=64) if i == 0 else as_json)
+
+
+LOADER_COMMANDS = {
+    "partition": (["partition", "{}"], _topologies()),
+    "bounds": (["bounds", "example-29node.topology.json", "--profile", "{}"], profiles),
+    "calibrate": (["calibrate", "{}"], st.builds(_bundled_readings)),
+}
+
+
+@pytest.mark.parametrize("command", LOADER_COMMANDS)
+def test_loader_commands_exit_0_or_2_on_any_file(command, tmp_path_factory):
+    argv, documents = LOADER_COMMANDS[command]
+    path = tmp_path_factory.mktemp(command) / "input.json"
+
+    @settings(PROPERTY, max_examples=50)  # each example is a whole command: keep the suite quick
+    @given(_files(_mostly(_one_field_replaced(documents))))
+    def check(data):
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a frame beyond the PPDU only warns
+            code = main([arg.format(path) for arg in argv])
+        assert code in (0, 2), (code, err.getvalue())
+
+    check()

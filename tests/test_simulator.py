@@ -1,16 +1,22 @@
+import csv
+import io
 import math
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
+    assert_above_graph_lower_bound,
     irregular_topology,
     random_connected_topology,
     reference_simulate,
     tree_descendants_oracle,
 )
-from wsnlife.bounds import lifetime_bounds, sphere_min_energy
+from wsnlife.bounds import ZeroEnergyModel, lifetime_bounds, sphere_min_energy
+from wsnlife.cli import main
 from wsnlife.fixtures import example29, layered_topology
 from wsnlife.energy_model import (
     CC2420_PAPER,
@@ -32,9 +38,10 @@ from wsnlife.simulator import (
     simulate,
     validate_against_bounds,
 )
-from wsnlife.topology import SpherePartition, Topology, partition
+from wsnlife.topology import SpherePartition, Topology, partition, save_topology
 
 MODEL = build_model(CC2420_PAPER, frame_preset("paper-tinyos"))
+FREE = EnergyModel(0, 0, 0, 0, 18, 11)  # nothing drains, so every run reaches its cap
 
 
 def make(nodes, edges, base):
@@ -49,6 +56,14 @@ def run(topo, **kwargs):
     part = partition(topo)
     config = SimConfig(**kwargs)
     return simulate(topo, part, MODEL, config), part, config
+
+
+def traced_receives(topo, strategy, seed, iterations):
+    """Each battery node's receives at iterations 0 .. iterations - 1, as the trace replays them."""
+    rows = []
+    config = SimConfig(strategy=strategy, max_iterations=iterations, seed=seed)
+    simulate(topo, partition(topo), FREE, config, trace=lambda i, receives: rows.append(receives))
+    return rows
 
 
 def test_star_leaves_die_after_ten_iterations():
@@ -88,15 +103,9 @@ def test_packet_conservation_of_every_strategy():
         part = partition(topo)
         n_total = part.total
         for strategy in STRATEGIES:
-            _, counts_fn = build_workload(strategy, topo, part, seed=3)
-            for iteration in range(12):
-                counts = counts_fn(iteration)
+            for receives in traced_receives(topo, strategy, 3, 12):
                 for j in range(1, part.k + 1):
-                    received = sum(counts[v][0] for v in part.spheres[j])
-                    transmitted = sum(counts[v][1] for v in part.spheres[j])
-                    outside = n_total - part.cumulative[j]
-                    assert received == outside
-                    assert transmitted == outside + part.sizes[j]
+                    assert sum(receives[v] for v in part.spheres[j]) == n_total - part.cumulative[j]
 
 
 def _rotation_topology(candidate_counts):
@@ -114,29 +123,34 @@ LONG_ROTATION = _rotation_topology((11, 13, 17, 19, 23, 29))
 
 
 def _reference_cases():
-    """(topology, battery J, cap, overhead mJ, seed) for the reference comparison."""
+    """(topology, battery J, cap, seed) for the reference comparison.
+
+    Each ``rng.randrange(2)`` whose value is dropped is a spare draw that
+    keeps the random cases after it as they are.
+    """
     rng = random.Random(186)
     caps = (37, 500, 10**9)
     for _ in range(40):
         topo = random_connected_topology(rng, rng.randint(2, 16))
-        yield topo, rng.randint(1, 20) / 10, rng.choice(caps), rng.choice((0.0, 0.3)), rng.randrange(1000)
+        battery, cap, _ = rng.randint(1, 20) / 10, rng.choice(caps), rng.randrange(2)
+        yield topo, battery, cap, rng.randrange(1000)
     # batteries that exactly one iteration empties: a node may spend all of it
-    yield STAR, 0.00378, 10**9, 0.0, 0
-    yield CHAIN, 0.01183, 10**9, 0.0, 0
+    yield STAR, 0.00378, 10**9, 0
+    yield CHAIN, 0.01183, 10**9, 0
     # batteries that run out exactly at the cap: the run is capped, and no node dies
-    yield STAR, 0.0378, 10, 0.0, 0
-    yield CHAIN, 0.1183, 10, 0.0, 0
+    yield STAR, 0.0378, 10, 0
+    yield CHAIN, 0.1183, 10, 0
     # the relay z dies at once; the leaf a, which sorts first, would spend
     # exactly its battery in that iteration, so it must not count as dying
-    yield make({"B", "z", "a"}, {("B", "z"), ("z", "a")}, "B"), 0.00378, 10**9, 0.0, 0
+    yield make({"B", "z", "a"}, {("B", "z"), ("z", "a")}, "B"), 0.00378, 10**9, 0
     # layer-size lcms 5355 and 72072: schedules far longer than the other cases
     wide = layered_topology((1, 5, 7, 9, 17))
-    for battery, overhead in ((0.5, 0.0), (400.0, 0.3)):
-        yield wide, battery, 10**9, overhead, 7
+    for battery in (0.5, 400.0):
+        yield wide, battery, 10**9, 7
     longest = layered_topology((1, 7, 11, 13, 9, 8))
-    for cap, overhead in ((37, 0.3), (500, 0.0)):
-        yield longest, 1000.0, cap, overhead, 11
-    yield longest, 2.5, 10**9, 0.3, 12
+    for cap in (37, 500):
+        yield longest, 1000.0, cap, 11
+    yield longest, 2.5, 10**9, 12
     # random layerings whose batteries last several sphere sizes but less than
     # their lcm, where a node's own period and the global one differ; padding
     # the outer layer makes an inner sphere's inflow divide evenly
@@ -153,46 +167,41 @@ def _reference_cases():
         busiest = max(sphere_min_energy(part, i, e_recv, e_send) for i in range(1, part.k + 1))
         iterations = rng.randint(3 * longest_layer, span)
         battery = round(iterations * busiest) / 1000  # whole mJ: lasts at most `iterations`
-        yield layered_topology(sizes), battery, 10**9, rng.choice((0.0, 0.3)), rng.randrange(1000)
+        rng.randrange(2)
+        yield layered_topology(sizes), battery, 10**9, rng.randrange(1000)
         made += 1
     # ties for the first death, within a few periods: under balanced-rotating
     # every node of spheres 1 and 2 of (1, 4, 2, 2) relays one packet per
     # iteration; the two members of sphere 1 of (1, 2, 1) take turns at one
     # packet; and spheres 1 and 2 of (1, 3, 1, 2) relay one and two packets
-    for overhead in (0.0, 0.3):
-        for battery in (0.05, 0.1):
-            yield layered_topology((1, 4, 2, 2)), battery, 10**9, overhead, 0
-        yield layered_topology((1, 2, 1)), 0.05, 10**9, overhead, 0
-    yield layered_topology((1, 3, 1, 2)), 0.02, 10**9, 0.0, 0
+    for battery in (0.05, 0.1):
+        yield layered_topology((1, 4, 2, 2)), battery, 10**9, 0
+    yield layered_topology((1, 2, 1)), 0.05, 10**9, 0
+    yield layered_topology((1, 3, 1, 2)), 0.02, 10**9, 0
     # round-robin periods: 30 808 063 ended inside the first period by the cap
     # and by a death, and 210 ended by a death after several periods and by
     # caps one past the first period and after several
-    for overhead in (0.0, 0.3):
-        yield LONG_ROTATION, 30780.0, 10, overhead, 4
-        yield LONG_ROTATION, 0.05, 10**9, overhead, 4
-        for cap in (10**9, 211, 1000):
-            yield _rotation_topology((2, 3, 5, 7)), 20.0, cap, overhead, 4
+    yield LONG_ROTATION, 30780.0, 10, 4
+    yield LONG_ROTATION, 0.05, 10**9, 4
+    for cap in (10**9, 211, 1000):
+        yield _rotation_topology((2, 3, 5, 7)), 20.0, cap, 4
     # irregular graphs shaped like the benchmark's, a few tens of hops deep
     # with many parent candidates per node: the cap, or a battery that runs
     # out within a few tens of iterations, keeps the reference stepper quick
     for n, battery, cap in ((250, 30780.0, 150), (320, 20.0, 10**9), (400, 20.0, 10**9)):
-        yield irregular_topology(rng, n), battery, cap, rng.choice((0.0, 0.3)), rng.randrange(1000)
+        topo, _ = irregular_topology(rng, n), rng.randrange(2)
+        yield topo, battery, cap, rng.randrange(1000)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_simulate_matches_plain_reference_stepper(strategy):
-    for topo, battery, cap, overhead, seed in _reference_cases():
+    for topo, battery, cap, seed in _reference_cases():
         part = partition(topo)
-        config = SimConfig(
-            strategy=strategy,
-            battery_joules=battery,
-            max_iterations=cap,
-            per_iteration_overhead_mj=overhead,
-            seed=seed,
-        )
+        config = SimConfig(strategy=strategy, battery_joules=battery, max_iterations=cap, seed=seed)
         result = simulate(topo, part, MODEL, config)
         expected = reference_simulate(topo, part, MODEL, config)
         assert {key: getattr(result, key) for key in expected} == expected, config
+        assert_above_graph_lower_bound(topo, part, MODEL, result)
 
 
 def test_graph_strategies_route_whole_subtrees_on_spanning_trees():
@@ -204,20 +213,11 @@ def test_graph_strategies_route_whole_subtrees_on_spanning_trees():
         window = rng.choice((2, n))  # parents among the last two nodes make deep trees
         edges = {(nodes[i], nodes[rng.randrange(max(0, i - window), i)]) for i in range(1, n)}
         topo = make(nodes, edges, nodes[0])
-        expected = {v: (d, d + 1) for v, d in tree_descendants_oracle(topo).items()}
-        part = partition(topo)
+        expected = tree_descendants_oracle(topo)
         for strategy in ("static-tree", "round-robin-parent"):
-            _, counts_fn = build_workload(strategy, topo, part, seed=rng.randrange(1000))
+            rows = traced_receives(topo, strategy, rng.randrange(1000), 6)
             for iteration in (0, 1, 5):
-                assert counts_fn(iteration) == expected, (strategy, sorted(edges))
-
-
-def test_static_tree_counts_its_single_routing_once():
-    # a period-1 schedule routes every iteration alike, so replaying a trace
-    # reuses the first iteration's counts instead of recounting them
-    topo = example29()
-    _, counts_fn = build_workload("static-tree", topo, partition(topo), seed=0)
-    assert counts_fn(5) is counts_fn(0)
+                assert rows[iteration] == expected, (strategy, sorted(edges))
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -226,9 +226,8 @@ def test_zero_energy_model_reaches_the_default_cap_quickly(strategy):
     # 10**9 iterations of a schedule (5355 iterations under balanced-rotating,
     # 2 under round-robin-parent, 1 under static-tree) one at a time
     topo = layered_topology((1, 5, 7, 9, 17))
-    free = EnergyModel(0, 0, 0, 0, 18, 11)
     started = time.perf_counter()
-    result = simulate(topo, partition(topo), free, SimConfig(strategy=strategy))
+    result = simulate(topo, partition(topo), FREE, SimConfig(strategy=strategy))
     elapsed = time.perf_counter() - started
     assert result.cap_reached
     assert result.first_dead is None
@@ -259,15 +258,21 @@ def test_round_robin_stops_at_the_cap_of_a_long_rotation_period():
     assert elapsed < 0.5, f"took {elapsed:.2f}s"
 
 
-def test_every_node_transmits_what_it_receives_plus_its_own():
+def test_every_node_transmits_what_it_receives_plus_its_own(tmp_path, capsys):
+    # the trace CSV is where transmits are written out
     rng = random.Random(7)
-    topo = random_connected_topology(rng, 20)
-    part = partition(topo)
+    path = tmp_path / "random.topology.json"
+    save_topology(random_connected_topology(rng, 20), path)
+    e_recv, e_send = receive_energy(MODEL, 2), send_energy(MODEL, 2)
     for strategy in STRATEGIES:
-        _, counts_fn = build_workload(strategy, topo, part, seed=11)
-        for iteration in (0, 1, 5):
-            for received, transmitted in counts_fn(iteration).values():
-                assert transmitted == received + 1
+        command = ["simulate", str(path), "--strategy", strategy, "--seed", "11", "--battery", "2", "--format", "trace"]
+        assert main(command) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) >= 19 * 6  # 19 battery nodes, 6 iterations or more
+        for row in rows:
+            r, t = int(row["receives"]), int(row["transmits"])
+            assert t == r + 1, row
+            assert float(row["energy_mj"]) == float(r * e_recv + t * e_send), row
 
 
 def test_balanced_rotation_evens_out_over_sphere_sized_windows():
@@ -275,14 +280,14 @@ def test_balanced_rotation_evens_out_over_sphere_sized_windows():
     for _ in range(8):
         topo = random_connected_topology(rng, rng.randint(3, 28))
         part = partition(topo)
-        _, counts_fn = build_workload("balanced-rotating", topo, part, seed=5)
+        rows = traced_receives(topo, "balanced-rotating", 5, 3 + max(part.sizes))
         for j in range(1, part.k + 1):
             size = part.sizes[j]
-            expected = (part.total - part.cumulative[j]) + size  # sends per window
+            inflow = part.total - part.cumulative[j]  # receives per window
             for start in range(4):
-                window = [counts_fn(i) for i in range(start, start + size)]
+                window = rows[start:start + size]
                 for v in part.spheres[j]:
-                    assert sum(counts[v][1] for counts in window) == expected
+                    assert sum(receives[v] for receives in window) == inflow
 
 
 def test_rotation_leader_receives_most_over_every_prefix():
@@ -291,14 +296,13 @@ def test_rotation_leader_receives_most_over_every_prefix():
     for _ in range(300):
         size, inflow = rng.randint(1, 12), rng.randint(0, 40)
         topo = layered_topology((1, size, inflow) if inflow else (1, size))
-        rotations, counts_fn = build_workload("balanced-rotating", topo, partition(topo), rng.randrange(1000))
-        rotation = rotations[0]
+        seed = rng.randrange(1000)
+        rotation = build_workload("balanced-rotating", topo, partition(topo), seed)[0]
         members = rotation.members
         received = dict.fromkeys(members, 0)
-        for t in range(1, 2 * size + 1):
-            counts = counts_fn(t - 1)
+        for t, receives in enumerate(traced_receives(topo, "balanced-rotating", seed, 2 * size), 1):
             for v in members:
-                received[v] += counts[v][0]
+                received[v] += receives[v]
             most = received[members[rotation.leader]]
             for pos, v in enumerate(members):
                 assert received[v] <= most, (size, inflow, t)
@@ -328,6 +332,36 @@ def test_all_strategies_stay_within_bounds_on_random_networks():
             verdict = validate_against_bounds(result, report)
             assert verdict.lower_margin >= 0
             assert verdict.upper_margin >= 0
+
+
+coefficients = st.sampled_from((0, "0.12", "3.54", "4.03")) | st.fractions(min_value=0, max_value=20, max_denominator=1000)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(
+    n=st.integers(2, 40),
+    graph_seed=st.integers(0, 2**16),
+    irregular=st.booleans(),
+    coefficients=st.just((0, 0, 0, 0)) | st.tuples(coefficients, coefficients, coefficients, coefficients),
+    payload=st.integers(0, 109),  # the largest whose frame fits the PPDU
+    battery=st.floats(0.001, 50),
+    cap=st.sampled_from((1, 37, 10**9)) | st.integers(1, 10**9),
+    seed=st.integers(0, 999),
+    strategy=st.sampled_from(STRATEGIES),
+)
+def test_bounds_bracket_every_run(n, graph_seed, irregular, coefficients, payload, battery, cap, seed, strategy):
+    rng = random.Random(graph_seed)
+    topo = (irregular_topology if irregular else random_connected_topology)(rng, n)
+    part = partition(topo)
+    model = EnergyModel(*coefficients, 18, 11)
+    config = SimConfig(strategy=strategy, payload_bytes=payload, battery_joules=battery, max_iterations=cap, seed=seed)
+    result = simulate(topo, part, model, config)
+    try:
+        report = lifetime_bounds(part, model, payload, battery, 10)
+    except ZeroEnergyModel:  # no finite upper bound: the busiest sphere spends nothing
+        return
+    validate_against_bounds(result, report)
+    assert_above_graph_lower_bound(topo, part, model, result)
 
 
 def test_balanced_rotating_touches_upper_bound_when_shares_divide():
@@ -438,17 +472,10 @@ def test_trace_callback_sees_every_completed_iteration():
         part,
         MODEL,
         SimConfig(battery_joules=0.0378),
-        trace=lambda i, counts: rows.append((i, dict(counts))),
+        trace=lambda i, receives: rows.append((i, dict(receives))),
     )
     assert [i for i, _ in rows] == list(range(10))
-    assert all(counts == {"x": (0, 1), "y": (0, 1)} for _, counts in rows)
-
-
-def test_per_iteration_overhead_shortens_lifetime():
-    plain, _, _ = run(STAR, battery_joules=0.0378)
-    taxed, _, _ = run(STAR, battery_joules=0.0378, per_iteration_overhead_mj=0.42)
-    assert taxed.completed_iterations < plain.completed_iterations
-    assert taxed.completed_iterations == 9  # 3.78 + 0.42 = 4.20 mJ -> floor(37.8 / 4.2)
+    assert all(receives == {"x": 0, "y": 0} for _, receives in rows)
 
 
 def test_graph_strategies_need_a_parent_edge():
