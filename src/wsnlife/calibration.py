@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .energy_model import DIRECTIONS, RadioProfile
-from .errors import Error, read_json
+from .errors import Error, fields, read_json
 from .exact import as_exact, round_half_up
 
 
@@ -41,18 +41,21 @@ DEFAULT_BLOCK_LENGTHS = (11, 17, 18)
 
 @dataclass(frozen=True)
 class ScopeReading:
-    """One averaged oscilloscope trace: amplified volts over a duration in seconds."""
+    """One averaged oscilloscope trace: amplified volts over a duration in
+    seconds, each held as an exact rational."""
 
-    v_scope: float
-    duration: float
-    gain: float = DEFAULT_GAIN
-    r_sense: float = DEFAULT_R_SENSE
-    v_supply: float = DEFAULT_V_SUPPLY
+    v_scope: Fraction
+    duration: Fraction
+    gain: Fraction = DEFAULT_GAIN
+    r_sense: Fraction = DEFAULT_R_SENSE
+    v_supply: Fraction = DEFAULT_V_SUPPLY
 
     def __post_init__(self):
         for attr in ("v_scope", "duration", "gain", "r_sense", "v_supply"):
-            if not getattr(self, attr) > 0:
+            value = as_exact(getattr(self, attr))
+            if not value > 0:
                 raise NonPositiveInput(f"{attr} must be > 0")
+            object.__setattr__(self, attr, value)
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,10 @@ class PacketReading:
     def __post_init__(self):
         readings = _as_reading_tuple(self.readings)
         object.__setattr__(self, "readings", readings)
+        for attr in ("byte_count", "excluded_preamble_bytes"):
+            value = getattr(self, attr)
+            if type(value) is not int:  # a byte count is an exact int, not 46.0 or True
+                raise ReadingsError(f"{attr} must be an integer, got {value!r}")
         if self.excluded_preamble_bytes < 0:
             raise ZeroEffectiveBytes("excluded_preamble_bytes must be >= 0")
         if self.byte_count <= self.excluded_preamble_bytes:
@@ -95,12 +102,7 @@ def _as_reading_tuple(value) -> tuple:
 
 def reading_energy(reading: ScopeReading) -> Fraction:
     """Exact energy of one scope trace in millijoules."""
-    joules = (
-        as_exact(reading.v_scope)
-        / (as_exact(reading.gain) * as_exact(reading.r_sense))
-        * as_exact(reading.v_supply)
-        * as_exact(reading.duration)
-    )
+    joules = reading.v_scope / (reading.gain * reading.r_sense) * reading.v_supply * reading.duration
     return joules * 1000  # mJ
 
 
@@ -115,14 +117,13 @@ def profile_from_readings(
     tx: PacketReading,
     rx: PacketReading,
     block_readings: dict | None = None,
-    block_lengths=DEFAULT_BLOCK_LENGTHS,
     round_like_paper: bool = False,
     name: str = "",
 ) -> RadioProfile:
     """Assemble a RadioProfile from scope traces of the four radio operations.
 
     ``cca`` and ``listen`` take a ScopeReading or a sequence to average.
-    Block overrides for ``block_lengths`` are extrapolated from the
+    Block overrides for ``DEFAULT_BLOCK_LENGTHS`` are extrapolated from the
     unrounded per-byte rates unless an explicit trace for that
     (direction, length) is supplied in ``block_readings``.
 
@@ -142,7 +143,7 @@ def profile_from_readings(
     block_readings = block_readings or {}
     overrides = {}
     for direction in DIRECTIONS:
-        for nbytes in block_lengths:
+        for nbytes in DEFAULT_BLOCK_LENGTHS:
             explicit = block_readings.get((direction, nbytes))
             if explicit is not None:
                 energy = _mean_energy(explicit)
@@ -161,28 +162,20 @@ def profile_from_readings(
 
 
 _READINGS_FIELDS = {"schema_version", "gain", "r_sense", "v_supply", "cca", "listening", "tx", "rx"}
-_ENTRY_FIELDS = {"v_scope", "duration_ms", "gain", "r_sense", "v_supply", "byte_count", "excluded_preamble_bytes"}
+_SCOPE_FIELDS = {"v_scope", "duration_ms", "gain", "r_sense", "v_supply"}
+_PACKET_FIELDS = _SCOPE_FIELDS | {"byte_count", "excluded_preamble_bytes"}
 
 
-def _parse_entry(entry: dict, rig: dict, source: str, packet: bool) -> ScopeReading:
-    if not isinstance(entry, dict):
-        raise ReadingsError(f"{source}: a reading must be an object, got {entry!r}")
-    unknown = set(entry) - _ENTRY_FIELDS
-    if unknown:
-        raise ReadingsError(f"{source}: unknown fields: {', '.join(sorted(unknown))}")
-    for required in ("v_scope", "duration_ms"):
-        if required not in entry:
-            raise ReadingsError(f"{source}: missing field {required!r}")
-    if not packet and ("byte_count" in entry or "excluded_preamble_bytes" in entry):
-        raise ReadingsError(f"{source}: byte counts only belong on tx/rx entries")
+def _parse_entry(entry, rig: dict, source: str, packet: bool) -> ScopeReading:
+    allowed, required = (_PACKET_FIELDS, ("byte_count",)) if packet else (_SCOPE_FIELDS, ())
+    fields(entry, "a reading", source, ReadingsError, allowed, ("v_scope", "duration_ms", *required))
     values = {**rig, **entry}
     for field, value in values.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ReadingsError(f"{source}: {field} must be a number, got {value!r}")
-    duration = float(as_exact(values["duration_ms"]) / 1000)
     return ScopeReading(
         v_scope=values["v_scope"],
-        duration=duration,
+        duration=as_exact(values["duration_ms"]) / 1000,
         gain=values["gain"],
         r_sense=values["r_sense"],
         v_supply=values["v_supply"],
@@ -196,25 +189,18 @@ def _parse_slot(value, rig: dict, source: str, packet: bool = False):
     readings = tuple(_parse_entry(e, rig, source, packet) for e in entries)
     if not packet:
         return readings
-    counts = {(e.get("byte_count"), e.get("excluded_preamble_bytes", 0)) for e in entries}
-    if len(counts) != 1 or None in {c[0] for c in counts}:
+    # each entry's byte counts are checked as they are; equal readings then merge into one
+    packets = {PacketReading(readings, e["byte_count"], e.get("excluded_preamble_bytes", 0)) for e in entries}
+    if len(packets) != 1:
         raise ReadingsError(f"{source}: tx/rx entries need one consistent byte_count")
-    (byte_count, excluded), = counts
-    return PacketReading(readings, byte_count=byte_count, excluded_preamble_bytes=excluded)
+    return packets.pop()
 
 
 def load_readings(path) -> dict:
     """Parse a readings file into profile_from_readings keyword arguments."""
     path = Path(path)
     doc = read_json(path, ReadingsError)
-    if not isinstance(doc, dict):
-        raise ReadingsError(f"{path}: readings document must be an object")
-    unknown = set(doc) - _READINGS_FIELDS
-    if unknown:
-        raise ReadingsError(f"{path}: unknown fields: {', '.join(sorted(unknown))}")
-    for required in ("cca", "listening", "tx", "rx"):
-        if required not in doc:
-            raise ReadingsError(f"{path}: missing field {required!r}")
+    fields(doc, "readings document", str(path), ReadingsError, _READINGS_FIELDS, ("cca", "listening", "tx", "rx"))
     rig = {
         "gain": doc.get("gain", DEFAULT_GAIN),
         "r_sense": doc.get("r_sense", DEFAULT_R_SENSE),

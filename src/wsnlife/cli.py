@@ -7,7 +7,6 @@ are byte-identical.
 
 import argparse
 import csv
-import json
 import os
 import sys
 from pathlib import Path
@@ -23,7 +22,7 @@ from .energy_model import (
     profile_to_dict,
     save_profile,
 )
-from .errors import Error
+from .errors import Error, dumps_canonical
 from .exact import round_half_up, to_float
 from .fixtures import FIXTURE_FILES, fixture_path
 from .frame_model import FRAME_PRESETS, frame_preset
@@ -38,10 +37,6 @@ from .simulator import (
 from .topology import load_topology, node_key, partition
 
 SCHEMA_VERSION = 1
-
-
-def dumps_canonical(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def _emit(args, text: str) -> None:

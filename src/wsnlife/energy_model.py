@@ -12,13 +12,12 @@ the receiver transmits it, so each fixed radio cost appears exactly once
 per exchange.
 """
 
-import json
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import Error, read_json
+from .errors import Error, dumps_canonical, fields, read_json
 from .exact import as_exact
 from .frame_model import (
     FRAME_PRESETS,
@@ -186,16 +185,8 @@ _FRAME_FIELDS = {
 }
 
 
-def _object(value, what: str, source: str) -> dict:
-    if not isinstance(value, dict):
-        raise ProfileError(f"{source}: {what!r} must be an object")
-    return value
-
-
 def _frame_from_dict(doc: dict, source: str) -> FrameConfig:
-    unknown = set(_object(doc, "frame", source)) - _FRAME_FIELDS
-    if unknown:
-        raise ProfileError(f"{source}: unknown frame fields: {', '.join(sorted(unknown))}")
+    fields(doc, "'frame'", source, ProfileError, _FRAME_FIELDS)
     if "preset" in doc:
         if len(doc) != 1:
             raise ProfileError(f"{source}: frame preset cannot be combined with explicit fields")
@@ -206,27 +197,28 @@ def _frame_from_dict(doc: dict, source: str) -> FrameConfig:
     return FrameConfig(**doc)
 
 
+def _byte_count(key: str, source: str) -> int:
+    """The byte count whose plain decimal form is ``key``, so no two keys name one block."""
+    try:
+        nbytes = int(key)
+    except ValueError:
+        nbytes = None
+    if str(nbytes) != key:
+        raise ProfileError(f"{source}: block override byte count {key!r} is not an integer")
+    return nbytes
+
+
 def profile_from_dict(doc: dict, source: str = "<profile>"):
     """Parse a profile document; returns (RadioProfile, FrameConfig | None)."""
-    if not isinstance(doc, dict):
-        raise ProfileError(f"{source}: profile document must be an object")
-    unknown = set(doc) - _PROFILE_FIELDS
-    if unknown:
-        raise ProfileError(f"{source}: unknown fields: {', '.join(sorted(unknown))}")
-    for required in ("m_tx", "m_rx", "e_cca", "e_listen"):
-        if required not in doc:
-            raise ProfileError(f"{source}: missing field {required!r}")
+    fields(doc, "profile document", source, ProfileError, _PROFILE_FIELDS, ("m_tx", "m_rx", "e_cca", "e_listen"))
     if not isinstance(doc.get("name", ""), str):
         raise ProfileError(f"{source}: 'name' must be a string")
-    overrides = {}
-    for direction, blocks in _object(doc.get("block_overrides", {}), "block_overrides", source).items():
-        if direction not in DIRECTIONS:
-            raise ProfileError(f"{source}: block override direction must be tx or rx")
-        for nbytes, energy in _object(blocks, f"block_overrides.{direction}", source).items():
-            try:
-                overrides[(direction, int(nbytes))] = energy
-            except ValueError:
-                raise ProfileError(f"{source}: block override byte count {nbytes!r} is not an integer") from None
+    blocks = fields(doc.get("block_overrides", {}), "'block_overrides'", source, ProfileError, DIRECTIONS)
+    overrides = {
+        (direction, _byte_count(key, source)): energy
+        for direction, by_count in blocks.items()
+        for key, energy in fields(by_count, f"'block_overrides.{direction}'", source, ProfileError).items()
+    }
     profile = RadioProfile(
         m_tx=doc["m_tx"],
         m_rx=doc["m_rx"],
@@ -263,4 +255,4 @@ def load_profile(path):
 
 
 def save_profile(profile: RadioProfile, path) -> None:
-    Path(path).write_text(json.dumps(profile_to_dict(profile), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(dumps_canonical(profile_to_dict(profile)) + "\n")

@@ -12,19 +12,19 @@ FIXTURE_FILES = (
 )
 
 
-def layered_topology(sizes, base="base", parent_links=2) -> Topology:
+def layered_topology(sizes) -> Topology:
     """Deterministic graph realizing the given hop-layer sizes.
 
-    ``sizes[0]`` must be 1 (the base station).  Node j of layer i links to
-    ``parent_links`` consecutive members of layer i-1 starting at j mod its
-    size, so every node sits exactly its layer index away from the base.
+    ``sizes[0]`` must be 1 (the base station, named ``base``).  Node j of
+    layer i links to two consecutive members of layer i-1 starting at j mod
+    its size, so every node sits exactly its layer index away from the base.
     """
     sizes = tuple(sizes)
     if not sizes or sizes[0] != 1:
         raise ValueError("sizes must start with a single base station layer")
     if any(s < 1 for s in sizes):
         raise ValueError("layer sizes must be positive")
-    layers = [[base]]
+    layers = [["base"]]
     counter = 1
     for size in sizes[1:]:
         layer = []
@@ -36,10 +36,10 @@ def layered_topology(sizes, base="base", parent_links=2) -> Topology:
     for i in range(1, len(layers)):
         prev = layers[i - 1]
         for j, v in enumerate(layers[i]):
-            for t in range(min(parent_links, len(prev))):
+            for t in range(min(2, len(prev))):
                 edges.append((v, prev[(j + t) % len(prev)]))
     nodes = [v for layer in layers for v in layer]
-    return Topology(nodes=nodes, edges=edges, base=base)
+    return Topology(nodes=nodes, edges=edges, base="base")
 
 
 def example29() -> Topology:

@@ -50,12 +50,14 @@ class FrameConfig:
             ("dest_addr_bytes", _ADDR_CHOICES),
             ("src_pan_bytes", _PAN_CHOICES),
             ("src_addr_bytes", _ADDR_CHOICES),
+            ("extra_header_bytes", None),
         ):
             value = getattr(self, name)
-            if value not in choices:
+            # a byte count is an exact int: 2.0 and True compare equal to ints but are not byte counts
+            if type(value) is not int or value < 0:
+                raise FrameConfigError(f"{name} must be a non-negative integer, got {value!r}")
+            if choices is not None and value not in choices:
                 raise FrameConfigError(f"{name} must be one of {choices}, got {value!r}")
-        if not isinstance(self.extra_header_bytes, int) or self.extra_header_bytes < 0:
-            raise FrameConfigError("extra_header_bytes must be a non-negative integer")
 
     @property
     def addressing_bytes(self) -> int:

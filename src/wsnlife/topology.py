@@ -4,11 +4,10 @@ Nodes are opaque identifiers (strings or ints) compared by equality;
 deterministic ordering always uses the canonical string form.
 """
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import Error, read_json
+from .errors import Error, dumps_canonical, fields, read_json
 
 NodeId = str | int
 _ID_TYPES = {str, int}  # exact types: bool and float ids compare equal to ints
@@ -189,15 +188,8 @@ _TOPOLOGY_FIELDS = {"schema_version", "nodes", "edges", "base"}
 
 
 def topology_from_dict(doc: dict, source: str = "<topology>") -> Topology:
-    """Build a Topology from a parsed document, rejecting unknown fields."""
-    if not isinstance(doc, dict):
-        raise TopologyError(f"{source}: topology document must be an object")
-    unknown = set(doc) - _TOPOLOGY_FIELDS
-    if unknown:
-        raise TopologyError(f"{source}: unknown fields: {', '.join(sorted(unknown))}")
-    for required in ("nodes", "edges", "base"):
-        if required not in doc:
-            raise TopologyError(f"{source}: missing field {required!r}")
+    """Build a Topology from a parsed document, rejecting any field it does not define."""
+    fields(doc, "topology document", source, TopologyError, _TOPOLOGY_FIELDS, ("nodes", "edges", "base"))
     nodes = doc["nodes"]
     if not isinstance(nodes, list):
         raise TopologyError(f"{source}: 'nodes' must be a list")
@@ -217,4 +209,4 @@ def load_topology(path) -> Topology:
 
 def save_topology(topology: Topology, path) -> None:
     doc = {"schema_version": 1, **topology.to_dict()}
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(dumps_canonical(doc) + "\n")

@@ -168,3 +168,21 @@ def test_readings_file_validation(tmp_path):
     path.write_text(f'{{"gain": [98], "cca": {good}, "listening": {good}, "tx": {packet}, "rx": {packet}}}')
     with pytest.raises(ReadingsError, match="gain must be a number"):
         load_readings(path)
+    # a byte count is an exact int: 46.0 would shift the calibrated rate's last digits
+    for byte_count in ("46.0", "46.5"):
+        inexact = f'{{"v_scope": 1, "duration_ms": 1, "byte_count": {byte_count}}}'
+        path.write_text(f'{{"cca": {good}, "listening": {good}, "tx": {inexact}, "rx": {packet}}}')
+        with pytest.raises(ReadingsError, match=f"byte_count must be an integer, got {byte_count}"):
+            load_readings(path)
+
+
+def test_readings_file_durations_enter_exactly(tmp_path):
+    # a float millisecond count divided by 1000 in binary no longer reads back as the value written
+    duration_ms = "26.881505180039124"
+    assert as_exact(float(as_exact(duration_ms) / 1000)) != as_exact(duration_ms) / 1000
+    path = tmp_path / "r.json"
+    entry = f'{{"v_scope": 3.2, "duration_ms": {duration_ms}}}'
+    packet = '{"v_scope": 1, "duration_ms": 1, "byte_count": 10}'
+    path.write_text(f'{{"cca": {entry}, "listening": {entry}, "tx": {packet}, "rx": {packet}}}')
+    (cca,) = load_readings(path)["cca"]
+    assert reading_energy(cca) == formula_mj("3.2", Fraction(duration_ms) / 1000)

@@ -20,7 +20,7 @@ from wsnlife.energy_model import (
     send_energy,
 )
 from wsnlife.fixtures import fixture_path
-from wsnlife.frame_model import PPDU_SOFT_LIMIT, FrameConfig, FrameLengthWarning, frame_preset
+from wsnlife.frame_model import PPDU_SOFT_LIMIT, FrameConfig, FrameConfigError, FrameLengthWarning, frame_preset
 
 TINYOS = frame_preset("paper-tinyos")
 
@@ -153,11 +153,18 @@ def test_profile_document_validation():
         ("block_overrides", 5, "'block_overrides' must be an object"),
         ("block_overrides", {"tx": [1.3]}, "'block_overrides.tx' must be an object"),
         ("block_overrides", {"tx": {"x": 1.3}}, "byte count 'x' is not an integer"),
+        # a key other than the plain decimal form would alias the measured 18-byte block
+        ("block_overrides", {"tx": {"18": 2.16, "1_8": 9.0}}, "byte count '1_8' is not an integer"),
+        ("block_overrides", {"tx": {"18": 2.16, " 18": 9.0}}, "byte count ' 18' is not an integer"),
+        ("block_overrides", {"tx": {"18": 2.16, "018": 9.0}}, "byte count '018' is not an integer"),
+        ("block_overrides", {"tx": {"18": 2.16, "+18": 9.0}}, r"byte count '\+18' is not an integer"),
         ("frame", 5, "'frame' must be an object"),
         ("frame", {"preset": ["paper-tinyos"]}, "unknown frame preset"),
     ):
         with pytest.raises(ProfileError, match=message):
             profile_from_dict({**zero, field: value})
+    with pytest.raises(FrameConfigError, match="src_addr_bytes must be a non-negative integer, got 8.0"):
+        profile_from_dict({**zero, "frame": {"src_addr_bytes": 8.0}})
 
 
 def test_profile_document_embedded_frame():

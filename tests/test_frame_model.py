@@ -71,6 +71,11 @@ def test_invalid_field_values_rejected():
         FrameConfig(src_addr_bytes=4)
     with pytest.raises(FrameConfigError):
         FrameConfig(extra_header_bytes=-1)
+    # byte counts are exact ints: 2.0 and True compare equal to 2 and 1 but are rejected
+    with pytest.raises(FrameConfigError):
+        FrameConfig(dest_addr_bytes=2.0)
+    with pytest.raises(FrameConfigError):
+        FrameConfig(extra_header_bytes=True)
     with pytest.raises(FrameConfigError):
         data_frame_length(TINYOS, -1)
 

@@ -1,5 +1,6 @@
 """Property tests: the file loaders turn any parsed JSON into a value or an Error."""
 
+import dataclasses
 import io
 import json
 import warnings
@@ -62,13 +63,19 @@ def _topologies(draw):
 
 
 energies = _mostly(st.floats(min_value=0, max_value=5) | st.integers(min_value=0, max_value=5))
-byte_counts = _mostly(st.sampled_from(["11", "18", "3"]), st.sampled_from(["0", "-3", "1.5", ""]) | st.text(max_size=3))
+# keys that int() reads as 18 but that are not its plain decimal form
+byte_counts = _mostly(
+    st.sampled_from(["11", "18", "3", "018", " 18", "1_8"]),
+    st.sampled_from(["0", "-3", "1.5", ""]) | st.text(max_size=3),
+)
+# numbers equal to a valid byte count that are not exact ints
+inexact_counts = st.sampled_from([2.0, 8.0, True])
 frames = st.fixed_dictionaries({"preset": _mostly(st.just("paper-tinyos"))}) | st.fixed_dictionaries(
     {},
     optional={
-        "dest_pan_bytes": _mostly(st.sampled_from([0, 2])),
-        "src_addr_bytes": _mostly(st.sampled_from([0, 2, 8])),
-        "extra_header_bytes": _mostly(st.integers(min_value=0, max_value=3)),
+        "dest_pan_bytes": _mostly(st.sampled_from([0, 2]) | inexact_counts),
+        "src_addr_bytes": _mostly(st.sampled_from([0, 2, 8]) | inexact_counts),
+        "extra_header_bytes": _mostly(st.integers(min_value=0, max_value=3) | inexact_counts),
     },
 )
 profiles = st.fixed_dictionaries(
@@ -115,6 +122,11 @@ def test_profile_loader_returns_a_profile_or_raises_error(doc):
         return
     assert isinstance(profile, RadioProfile)
     assert frame is None or isinstance(frame, FrameConfig)
+    if frame is not None:
+        assert all(type(getattr(frame, f.name)) is int for f in dataclasses.fields(frame))
+    # no two keys of the document name the same block
+    keys = [(direction, key) for direction, blocks in doc.get("block_overrides", {}).items() for key in blocks]
+    assert len(profile.block_overrides) == len(keys)
 
 
 def _bundled_readings() -> dict:
