@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .energy_model import DIRECTIONS, RadioProfile
-from .errors import Error, fields, read_json
+from .errors import Error, fields, labelled, read_json
 from .exact import as_exact, round_half_up
 
 
@@ -116,16 +116,13 @@ def profile_from_readings(
     listen,
     tx: PacketReading,
     rx: PacketReading,
-    block_readings: dict | None = None,
     round_like_paper: bool = False,
     name: str = "",
 ) -> RadioProfile:
     """Assemble a RadioProfile from scope traces of the four radio operations.
 
-    ``cca`` and ``listen`` take a ScopeReading or a sequence to average.
-    Block overrides for ``DEFAULT_BLOCK_LENGTHS`` are extrapolated from the
-    unrounded per-byte rates unless an explicit trace for that
-    (direction, length) is supplied in ``block_readings``.
+    ``cca`` and ``listen`` take a ScopeReading or a sequence to average.  Block
+    overrides for ``DEFAULT_BLOCK_LENGTHS`` come from the unrounded per-byte rates.
 
     With ``round_like_paper`` every derived value is rounded to two decimals
     (half-up) before it is stored, which reproduces published rounded
@@ -139,17 +136,8 @@ def profile_from_readings(
     def finish(x: Fraction) -> float:
         return round_half_up(x) if round_like_paper else float(x)
 
-    rates = {"tx": m_tx, "rx": m_rx}
-    block_readings = block_readings or {}
-    overrides = {}
-    for direction in DIRECTIONS:
-        for nbytes in DEFAULT_BLOCK_LENGTHS:
-            explicit = block_readings.get((direction, nbytes))
-            if explicit is not None:
-                energy = _mean_energy(explicit)
-            else:
-                energy = rates[direction] * nbytes
-            overrides[(direction, nbytes)] = finish(energy)
+    rates = (("tx", m_tx), ("rx", m_rx))
+    overrides = {(direction, n): finish(rate * n) for direction, rate in rates for n in DEFAULT_BLOCK_LENGTHS}
 
     return RadioProfile(
         m_tx=finish(m_tx),
@@ -166,13 +154,13 @@ _SCOPE_FIELDS = {"v_scope", "duration_ms", "gain", "r_sense", "v_supply"}
 _PACKET_FIELDS = _SCOPE_FIELDS | {"byte_count", "excluded_preamble_bytes"}
 
 
-def _parse_entry(entry, rig: dict, source: str, packet: bool) -> ScopeReading:
+def _parse_entry(entry, rig: dict, packet: bool) -> ScopeReading:
     allowed, required = (_PACKET_FIELDS, ("byte_count",)) if packet else (_SCOPE_FIELDS, ())
-    fields(entry, "a reading", source, ReadingsError, allowed, ("v_scope", "duration_ms", *required))
+    fields(entry, "a reading", ReadingsError, allowed, ("v_scope", "duration_ms", *required))
     values = {**rig, **entry}
     for field, value in values.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ReadingsError(f"{source}: {field} must be a number, got {value!r}")
+            raise ReadingsError(f"{field} must be a number, got {value!r}")
     return ScopeReading(
         v_scope=values["v_scope"],
         duration=as_exact(values["duration_ms"]) / 1000,
@@ -182,33 +170,33 @@ def _parse_entry(entry, rig: dict, source: str, packet: bool) -> ScopeReading:
     )
 
 
-def _parse_slot(value, rig: dict, source: str, packet: bool = False):
+def _parse_slot(value, rig: dict, packet: bool):
     entries = value if isinstance(value, list) else [value]
     if not entries:
-        raise ReadingsError(f"{source}: empty reading list")
-    readings = tuple(_parse_entry(e, rig, source, packet) for e in entries)
+        raise ReadingsError("empty reading list")
+    readings = tuple(_parse_entry(e, rig, packet) for e in entries)
     if not packet:
         return readings
     # each entry's byte counts are checked as they are; equal readings then merge into one
     packets = {PacketReading(readings, e["byte_count"], e.get("excluded_preamble_bytes", 0)) for e in entries}
     if len(packets) != 1:
-        raise ReadingsError(f"{source}: tx/rx entries need one consistent byte_count")
+        raise ReadingsError("tx/rx entries need one consistent byte_count")
     return packets.pop()
 
 
 def load_readings(path) -> dict:
     """Parse a readings file into profile_from_readings keyword arguments."""
     path = Path(path)
-    doc = read_json(path, ReadingsError)
-    fields(doc, "readings document", str(path), ReadingsError, _READINGS_FIELDS, ("cca", "listening", "tx", "rx"))
-    rig = {
-        "gain": doc.get("gain", DEFAULT_GAIN),
-        "r_sense": doc.get("r_sense", DEFAULT_R_SENSE),
-        "v_supply": doc.get("v_supply", DEFAULT_V_SUPPLY),
-    }
-    return {
-        "cca": _parse_slot(doc["cca"], rig, f"{path}: cca"),
-        "listen": _parse_slot(doc["listening"], rig, f"{path}: listening"),
-        "tx": _parse_slot(doc["tx"], rig, f"{path}: tx", packet=True),
-        "rx": _parse_slot(doc["rx"], rig, f"{path}: rx", packet=True),
-    }
+    with labelled(path):
+        doc = read_json(path, ReadingsError)
+        fields(doc, "readings document", ReadingsError, _READINGS_FIELDS, ("cca", "listening", "tx", "rx"))
+        rig = {
+            "gain": doc.get("gain", DEFAULT_GAIN),
+            "r_sense": doc.get("r_sense", DEFAULT_R_SENSE),
+            "v_supply": doc.get("v_supply", DEFAULT_V_SUPPLY),
+        }
+        slots = {}
+        for slot, field in (("cca", "cca"), ("listen", "listening"), ("tx", "tx"), ("rx", "rx")):
+            with labelled(field):
+                slots[slot] = _parse_slot(doc[field], rig, packet=slot in DIRECTIONS)
+        return slots

@@ -20,7 +20,6 @@ from .energy_model import (
     load_profile,
     profile_preset,
     profile_to_dict,
-    save_profile,
 )
 from .errors import Error, dumps_canonical
 from .exact import round_half_up, to_float
@@ -206,11 +205,7 @@ def cmd_calibrate(args) -> int:
         name=args.name,
         **slots,
     )
-    if args.output:
-        save_profile(profile, args.output)
-    else:
-        doc = {"kind": "radio-profile", **profile_to_dict(profile)}
-        print(dumps_canonical(doc))
+    _emit(args, dumps_canonical(profile_to_dict(profile)))
     return 0
 
 
@@ -257,9 +252,6 @@ def cmd_sweep(args) -> int:
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     if not strategies:
         raise Error(f"no strategies in {args.strategies!r}")
-    for s in strategies:
-        if s not in STRATEGIES:
-            raise Error(f"unknown strategy {s!r} (available: {', '.join(STRATEGIES)})")
     seeds = _parse_seeds(args.seeds)
 
     configs = [

@@ -17,12 +17,13 @@ from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import Error, dumps_canonical, fields, read_json
+from .errors import Error, dumps_canonical, fields, labelled, read_json
 from .exact import as_exact
 from .frame_model import (
     FRAME_PRESETS,
     FrameConfig,
     ack_frame_length,
+    byte_count,
     check_frame_length,
     data_frame_length,
 )
@@ -37,7 +38,7 @@ class ProfileError(Error):
 def _check_energy(what: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float, Decimal, Fraction)):
         raise ProfileError(f"{what} must be a number, got {value!r}")
-    if value < 0:
+    if as_exact(value) < 0:  # so an infinite or NaN energy fails here, while its file is known
         raise ProfileError(f"{what} must be >= 0")
 
 
@@ -65,7 +66,7 @@ class RadioProfile:
             direction, nbytes = key
             if direction not in DIRECTIONS:
                 raise ProfileError(f"block override direction must be tx or rx, got {direction!r}")
-            if not isinstance(nbytes, int) or nbytes <= 0:
+            if type(nbytes) is not int or nbytes <= 0:
                 raise ProfileError(f"block override byte count must be a positive integer, got {nbytes!r}")
             _check_energy(f"block override energy for {key}", value)
 
@@ -118,10 +119,8 @@ def build_model(profile: RadioProfile, frame: FrameConfig) -> EnergyModel:
 
 
 def _check_payload(model: EnergyModel, payload_bytes: int) -> None:
-    """Reject a negative payload; warn if its data frame overflows the PPDU."""
-    if payload_bytes < 0:
-        raise ProfileError("payload_bytes must be >= 0")
-    check_frame_length(model.overhead_bytes + payload_bytes)
+    """Reject a payload that is not a byte count; warn if its data frame overflows the PPDU."""
+    check_frame_length(model.overhead_bytes + byte_count("payload_bytes", payload_bytes, ProfileError))
 
 
 def send_energy(model: EnergyModel, payload_bytes: int) -> Fraction:
@@ -167,6 +166,7 @@ def profile_preset(name: str) -> RadioProfile:
 
 _PROFILE_FIELDS = {
     "schema_version",
+    "kind",
     "name",
     "m_tx",
     "m_rx",
@@ -185,39 +185,41 @@ _FRAME_FIELDS = {
 }
 
 
-def _frame_from_dict(doc: dict, source: str) -> FrameConfig:
-    fields(doc, "'frame'", source, ProfileError, _FRAME_FIELDS)
+def _frame_from_dict(doc: dict) -> FrameConfig:
+    fields(doc, "'frame'", ProfileError, _FRAME_FIELDS)
     if "preset" in doc:
         if len(doc) != 1:
-            raise ProfileError(f"{source}: frame preset cannot be combined with explicit fields")
+            raise ProfileError("frame preset cannot be combined with explicit fields")
         preset = doc["preset"]
         if not isinstance(preset, str) or preset not in FRAME_PRESETS:
-            raise ProfileError(f"{source}: unknown frame preset {preset!r}")
+            raise ProfileError(f"unknown frame preset {preset!r}")
         return FRAME_PRESETS[preset]
     return FrameConfig(**doc)
 
 
-def _byte_count(key: str, source: str) -> int:
+def _byte_count(key: str) -> int:
     """The byte count whose plain decimal form is ``key``, so no two keys name one block."""
     try:
         nbytes = int(key)
     except ValueError:
         nbytes = None
     if str(nbytes) != key:
-        raise ProfileError(f"{source}: block override byte count {key!r} is not an integer")
+        raise ProfileError(f"block override byte count {key!r} is not an integer")
     return nbytes
 
 
-def profile_from_dict(doc: dict, source: str = "<profile>"):
+def profile_from_dict(doc: dict):
     """Parse a profile document; returns (RadioProfile, FrameConfig | None)."""
-    fields(doc, "profile document", source, ProfileError, _PROFILE_FIELDS, ("m_tx", "m_rx", "e_cca", "e_listen"))
+    fields(doc, "profile document", ProfileError, _PROFILE_FIELDS, ("m_tx", "m_rx", "e_cca", "e_listen"))
+    if doc.get("kind", "radio-profile") != "radio-profile":
+        raise ProfileError(f"'kind' must be 'radio-profile', got {doc['kind']!r}")
     if not isinstance(doc.get("name", ""), str):
-        raise ProfileError(f"{source}: 'name' must be a string")
-    blocks = fields(doc.get("block_overrides", {}), "'block_overrides'", source, ProfileError, DIRECTIONS)
+        raise ProfileError("'name' must be a string")
+    blocks = fields(doc.get("block_overrides", {}), "'block_overrides'", ProfileError, DIRECTIONS)
     overrides = {
-        (direction, _byte_count(key, source)): energy
+        (direction, _byte_count(key)): energy
         for direction, by_count in blocks.items()
-        for key, energy in fields(by_count, f"'block_overrides.{direction}'", source, ProfileError).items()
+        for key, energy in fields(by_count, f"'block_overrides.{direction}'", ProfileError).items()
     }
     profile = RadioProfile(
         m_tx=doc["m_tx"],
@@ -227,7 +229,7 @@ def profile_from_dict(doc: dict, source: str = "<profile>"):
         block_overrides=overrides,
         name=doc.get("name", ""),
     )
-    frame = _frame_from_dict(doc["frame"], source) if "frame" in doc else None
+    frame = _frame_from_dict(doc["frame"]) if "frame" in doc else None
     return profile, frame
 
 
@@ -237,6 +239,7 @@ def profile_to_dict(profile: RadioProfile) -> dict:
         overrides.setdefault(direction, {})[str(nbytes)] = energy
     doc = {
         "schema_version": 1,
+        "kind": "radio-profile",
         "name": profile.name,
         "m_tx": profile.m_tx,
         "m_rx": profile.m_rx,
@@ -251,7 +254,8 @@ def profile_to_dict(profile: RadioProfile) -> dict:
 def load_profile(path):
     """Load a profile file; returns (RadioProfile, FrameConfig | None)."""
     path = Path(path)
-    return profile_from_dict(read_json(path, ProfileError), source=str(path))
+    with labelled(path):
+        return profile_from_dict(read_json(path, ProfileError))
 
 
 def save_profile(profile: RadioProfile, path) -> None:

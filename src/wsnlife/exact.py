@@ -43,15 +43,14 @@ def to_float(what: str, x: Fraction | int, scale: int = 1) -> float:
         raise Error(f"{what} too large to report") from None
 
 
-def round_half_up(x: Number, ndigits: int = 2) -> float:
-    """Decimal round-half-up, the reporting convention (2.675 -> 2.68)."""
+def round_half_up(x: Number) -> float:
+    """``x`` to two decimals, rounding half up: the reporting convention (2.675 -> 2.68)."""
     if isinstance(x, Fraction):
         d = Decimal(x.numerator) / Decimal(x.denominator)
     elif isinstance(x, Decimal):
         d = x
     else:
         d = Decimal(repr(float(x)))
-    exp = Decimal(1).scaleb(-ndigits)
-    # enough digits for every one left of the point, or quantize raises InvalidOperation
-    context = Context(prec=max(28, d.adjusted() + ndigits + 1))
-    return float(d.quantize(exp, rounding=ROUND_HALF_UP, context=context))
+    # enough digits for every one left of the point and two right of it, or quantize raises InvalidOperation
+    context = Context(prec=max(28, d.adjusted() + 3))
+    return float(d.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP, context=context))

@@ -30,6 +30,14 @@ class FrameLengthWarning(UserWarning):
     """Computed frame exceeds what fits in a single 802.15.4 PPDU."""
 
 
+def byte_count(name: str, value, error: type[Error]) -> int:
+    """``value`` if it is a byte count, an exact int >= 0, else ``error``:
+    2.0 and True compare equal to ints but are not byte counts."""
+    if type(value) is not int or value < 0:
+        raise error(f"{name} must be a non-negative integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class FrameConfig:
     """Addressing-mode choices that fix the data-frame overhead.
@@ -52,10 +60,7 @@ class FrameConfig:
             ("src_addr_bytes", _ADDR_CHOICES),
             ("extra_header_bytes", None),
         ):
-            value = getattr(self, name)
-            # a byte count is an exact int: 2.0 and True compare equal to ints but are not byte counts
-            if type(value) is not int or value < 0:
-                raise FrameConfigError(f"{name} must be a non-negative integer, got {value!r}")
+            value = byte_count(name, getattr(self, name), FrameConfigError)
             if choices is not None and value not in choices:
                 raise FrameConfigError(f"{name} must be one of {choices}, got {value!r}")
 
@@ -71,13 +76,11 @@ class FrameConfig:
 
 def data_frame_length(config: FrameConfig, payload_bytes: int) -> int:
     """Full on-air length of a data frame carrying ``payload_bytes``."""
-    if not isinstance(payload_bytes, int) or payload_bytes < 0:
-        raise FrameConfigError("payload_bytes must be a non-negative integer")
     return check_frame_length(
         FIXED_FRAME_BYTES
         + config.addressing_bytes
         + config.extra_header_bytes
-        + payload_bytes
+        + byte_count("payload_bytes", payload_bytes, FrameConfigError)
     )
 
 

@@ -50,6 +50,7 @@ from .bounds import BoundsReport
 from .energy_model import EnergyModel, receive_energy, send_energy
 from .errors import Error
 from .exact import as_exact, to_float
+from .frame_model import byte_count
 from .topology import NodeId, SpherePartition, Topology, node_key
 
 STRATEGIES = ("balanced-rotating", "static-tree", "round-robin-parent")
@@ -87,8 +88,7 @@ class SimConfig:
             raise SimulationError("battery_joules must be > 0")
         if self.max_iterations < 1:
             raise SimulationError("max_iterations must be >= 1")
-        if self.payload_bytes < 0:
-            raise SimulationError("payload_bytes must be >= 0")
+        byte_count("payload_bytes", self.payload_bytes, SimulationError)
 
 
 @dataclass(frozen=True)

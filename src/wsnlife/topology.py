@@ -7,7 +7,7 @@ deterministic ordering always uses the canonical string form.
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import Error, dumps_canonical, fields, read_json
+from .errors import Error, dumps_canonical, fields, labelled, read_json
 
 NodeId = str | int
 _ID_TYPES = {str, int}  # exact types: bool and float ids compare equal to ints
@@ -187,24 +187,25 @@ def partition(topology: Topology) -> SpherePartition:
 _TOPOLOGY_FIELDS = {"schema_version", "nodes", "edges", "base"}
 
 
-def topology_from_dict(doc: dict, source: str = "<topology>") -> Topology:
+def topology_from_dict(doc: dict) -> Topology:
     """Build a Topology from a parsed document, rejecting any field it does not define."""
-    fields(doc, "topology document", source, TopologyError, _TOPOLOGY_FIELDS, ("nodes", "edges", "base"))
+    fields(doc, "topology document", TopologyError, _TOPOLOGY_FIELDS, ("nodes", "edges", "base"))
     nodes = doc["nodes"]
     if not isinstance(nodes, list):
-        raise TopologyError(f"{source}: 'nodes' must be a list")
+        raise TopologyError("'nodes' must be a list")
     edges = doc["edges"]
     if not isinstance(edges, list):
-        raise TopologyError(f"{source}: 'edges' must be a list")
+        raise TopologyError("'edges' must be a list")
     for i, pair in enumerate(edges):
         if not isinstance(pair, list) or len(pair) != 2:
-            raise TopologyError(f"{source}: edge {i} must be a two-element list")
+            raise TopologyError(f"edge {i} must be a two-element list")
     return Topology(nodes=nodes, edges=edges, base=doc["base"])
 
 
 def load_topology(path) -> Topology:
     path = Path(path)
-    return topology_from_dict(read_json(path, TopologyError), source=str(path))
+    with labelled(path):
+        return topology_from_dict(read_json(path, TopologyError))
 
 
 def save_topology(topology: Topology, path) -> None:

@@ -114,16 +114,6 @@ def test_mean_over_repeated_readings():
     assert profile.e_cca == float(reading_energy(CCA))
 
 
-def test_explicit_block_readings_take_precedence():
-    block = ScopeReading(v_scope=1.0, duration=0.001)
-    profile = profile_from_readings(
-        CCA, LISTEN, TX, RX, block_readings={("rx", 11): block}
-    )
-    assert profile.block_overrides[("rx", 11)] == float(reading_energy(block))
-    # the other overrides still come from extrapolation
-    assert profile.block_overrides[("tx", 11)] == pytest.approx(1.322, abs=0.0005)
-
-
 def test_input_validation():
     with pytest.raises(NonPositiveInput):
         ScopeReading(v_scope=0, duration=0.01)

@@ -170,6 +170,64 @@ def test_empty_strategy_list_is_an_input_error(capsys):
     assert err == "error: no strategies in ','\n"
 
 
+def test_unknown_strategy_is_an_input_error(capsys):
+    code, out, err = run_cli(capsys, "sweep", FIXTURE_29, "--battery", "1", "--strategies", "teleport")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: unknown strategy 'teleport' (available: {', '.join(STRATEGIES)})\n"
+
+
+def test_negative_payload_is_an_input_error(capsys):
+    code, out, err = run_cli(capsys, "bounds", FIXTURE_29, "--payload", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: payload_bytes must be a non-negative integer, got -1\n"
+
+
+def _bundled_with(name: str, *path, value) -> dict:
+    """The bundled document ``name`` with the field at ``path`` set to ``value``."""
+    doc = json.loads(fixture_path(name).read_text())
+    *parents, last = path
+    inner = doc
+    for key in parents:
+        inner = inner[key]
+    inner[last] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("bounds", _bundled_with("cc2420-paper.profile.json", "frame", value={"src_addr_bytes": 8.0}),
+         "src_addr_bytes must be a non-negative integer, got 8.0"),
+        ("bounds", _bundled_with("cc2420-paper.profile.json", "m_tx", value=-0.12), "m_tx must be >= 0"),
+        ("bounds", _bundled_with("cc2420-paper.profile.json", "m_tx", value=float("inf")), "not a finite number: inf"),
+        ("partition", {"nodes": ["B", "a"], "edges": [["B", "a"], ["a", "B"]], "base": "B"},
+         "duplicate edge ['B', 'a']"),
+        ("partition", {"nodes": ["B", "a"], "edges": [["B", "a"], ["a", "a"]], "base": "B"},
+         "self-loop on node 'a'"),
+        ("partition", {"nodes": [], "edges": [], "base": "B"}, "topology has no nodes"),
+        ("calibrate", _bundled_with("cc2420.readings.json", "cca", "v_scope", value=0), "cca: v_scope must be > 0"),
+        ("calibrate", _bundled_with("cc2420.readings.json", "tx", "byte_count", value=46.5),
+         "tx: byte_count must be an integer, got 46.5"),
+        ("calibrate", _bundled_with("cc2420.readings.json", "tx", "byte_count", value=3),
+         "tx: byte_count (3) must exceed excluded preamble bytes (4)"),
+    ],
+    ids=[
+        "frame-float", "negative-rate", "infinite-rate", "duplicate-edge", "self-loop", "no-nodes", "zero-volts",
+        "float-bytes", "few-bytes",
+    ],
+)
+def test_value_errors_in_an_input_file_name_the_file(capsys, tmp_path, command, doc, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    argv = ("bounds", FIXTURE_29, "--profile", str(path)) if command == "bounds" else (command, str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: {message}\n"
+
+
 def test_unexpected_exception_is_an_internal_error_not_exit_1(capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("boom")
@@ -329,6 +387,20 @@ def test_calibrate_roundtrip_into_bounds(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["per_sphere_min_mj"] == [52.08, 27.93, 10.22, 3.78]
+
+
+def test_calibrate_stdout_is_the_output_file(capsys, tmp_path):
+    printed, written = tmp_path / "printed.profile.json", tmp_path / "written.profile.json"
+    code, out, _ = run_cli(capsys, "calibrate", "cc2420.readings.json")
+    assert code == 0
+    printed.write_text(out)
+    assert run_cli(capsys, "calibrate", "cc2420.readings.json", "-o", str(written))[0] == 0
+    bounds = [
+        run_cli(capsys, "bounds", FIXTURE_29, "--profile", str(p), "--format", "structured") for p in (printed, written)
+    ]
+    assert bounds[0] == bounds[1]
+    assert bounds[0][0] == 0
+    assert written.read_text() == out
 
 
 def test_calibrate_stdout_unrounded(capsys, tmp_path):

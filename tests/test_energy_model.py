@@ -125,7 +125,11 @@ def test_profile_validation():
     with pytest.raises(ProfileError):
         RadioProfile(m_tx=0, m_rx=0, e_cca=0, e_listen=0, block_overrides={("tx", 0): 1.0})
     with pytest.raises(ProfileError):
+        RadioProfile(m_tx=0, m_rx=0, e_cca=0, e_listen=0, block_overrides={("tx", True): 9.0})
+    with pytest.raises(ProfileError):
         send_energy(cc2420_model(), -1)
+    with pytest.raises(ProfileError):
+        send_energy(cc2420_model(), 2.5)
 
 
 def test_preset_lookup():
@@ -160,6 +164,7 @@ def test_profile_document_validation():
         ("block_overrides", {"tx": {"18": 2.16, "+18": 9.0}}, r"byte count '\+18' is not an integer"),
         ("frame", 5, "'frame' must be an object"),
         ("frame", {"preset": ["paper-tinyos"]}, "unknown frame preset"),
+        ("kind", "lifetime-bounds", "'kind' must be 'radio-profile', got 'lifetime-bounds'"),
     ):
         with pytest.raises(ProfileError, match=message):
             profile_from_dict({**zero, field: value})

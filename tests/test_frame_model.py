@@ -78,6 +78,8 @@ def test_invalid_field_values_rejected():
         FrameConfig(extra_header_bytes=True)
     with pytest.raises(FrameConfigError):
         data_frame_length(TINYOS, -1)
+    with pytest.raises(FrameConfigError):
+        data_frame_length(FrameConfig(), True)
 
 
 def test_unknown_preset_lists_available():

@@ -501,3 +501,7 @@ def test_config_validation():
         SimConfig(max_iterations=0)
     with pytest.raises(SimulationError):
         SimConfig(payload_bytes=-1)
+    with pytest.raises(SimulationError):
+        SimConfig(payload_bytes=2.5)
+    with pytest.raises(SimulationError):
+        SimConfig(payload_bytes=True)
