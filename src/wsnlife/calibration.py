@@ -14,7 +14,8 @@ from pathlib import Path
 
 from .energy_model import DIRECTIONS, RadioProfile
 from .errors import Error, fields, labelled, read_json
-from .exact import as_exact, round_half_up
+from .exact import exact_number, round_half_up, to_float
+from .frame_model import byte_count
 
 
 class NonPositiveInput(Error):
@@ -52,8 +53,8 @@ class ScopeReading:
 
     def __post_init__(self):
         for attr in ("v_scope", "duration", "gain", "r_sense", "v_supply"):
-            value = as_exact(getattr(self, attr))
-            if not value > 0:
+            value = exact_number(attr, getattr(self, attr), ReadingsError)
+            if value <= 0:
                 raise NonPositiveInput(f"{attr} must be > 0")
             object.__setattr__(self, attr, value)
 
@@ -75,11 +76,7 @@ class PacketReading:
         readings = _as_reading_tuple(self.readings)
         object.__setattr__(self, "readings", readings)
         for attr in ("byte_count", "excluded_preamble_bytes"):
-            value = getattr(self, attr)
-            if type(value) is not int:  # a byte count is an exact int, not 46.0 or True
-                raise ReadingsError(f"{attr} must be an integer, got {value!r}")
-        if self.excluded_preamble_bytes < 0:
-            raise ZeroEffectiveBytes("excluded_preamble_bytes must be >= 0")
+            byte_count(attr, getattr(self, attr), ReadingsError)
         if self.byte_count <= self.excluded_preamble_bytes:
             raise ZeroEffectiveBytes(
                 f"byte_count ({self.byte_count}) must exceed excluded preamble "
@@ -134,7 +131,8 @@ def profile_from_readings(
     m_rx = _mean_energy(rx.readings) / rx.effective_bytes
 
     def finish(x: Fraction) -> float:
-        return round_half_up(x) if round_like_paper else float(x)
+        nearest = to_float("calibrated energy", x)  # an Error if no float holds x
+        return round_half_up(x) if round_like_paper else nearest
 
     rates = (("tx", m_tx), ("rx", m_rx))
     overrides = {(direction, n): finish(rate * n) for direction, rate in rates for n in DEFAULT_BLOCK_LENGTHS}
@@ -158,12 +156,9 @@ def _parse_entry(entry, rig: dict, packet: bool) -> ScopeReading:
     allowed, required = (_PACKET_FIELDS, ("byte_count",)) if packet else (_SCOPE_FIELDS, ())
     fields(entry, "a reading", ReadingsError, allowed, ("v_scope", "duration_ms", *required))
     values = {**rig, **entry}
-    for field, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ReadingsError(f"{field} must be a number, got {value!r}")
     return ScopeReading(
         v_scope=values["v_scope"],
-        duration=as_exact(values["duration_ms"]) / 1000,
+        duration=exact_number("duration_ms", values["duration_ms"], ReadingsError) / 1000,
         gain=values["gain"],
         r_sense=values["r_sense"],
         v_supply=values["v_supply"],

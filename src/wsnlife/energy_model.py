@@ -13,12 +13,11 @@ per exchange.
 """
 
 from dataclasses import dataclass, field
-from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 from .errors import Error, dumps_canonical, fields, labelled, read_json
-from .exact import as_exact
+from .exact import as_exact, exact_number, to_float
 from .frame_model import (
     FRAME_PRESETS,
     FrameConfig,
@@ -29,17 +28,19 @@ from .frame_model import (
 )
 
 DIRECTIONS = ("tx", "rx")
+ENERGIES = ("m_tx", "m_rx", "e_cca", "e_listen")  # RadioProfile's energy fields, in order
 
 
 class ProfileError(Error):
     pass
 
 
-def _check_energy(what: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float, Decimal, Fraction)):
-        raise ProfileError(f"{what} must be a number, got {value!r}")
-    if as_exact(value) < 0:  # so an infinite or NaN energy fails here, while its file is known
+def _energy(what: str, value) -> Fraction:
+    """``value`` as an exact energy, or ``ProfileError`` naming ``what``."""
+    energy = exact_number(what, value, ProfileError)
+    if energy < 0:
         raise ProfileError(f"{what} must be >= 0")
+    return energy
 
 
 @dataclass(frozen=True)
@@ -49,33 +50,35 @@ class RadioProfile:
     ``block_overrides`` maps (direction, byte_count) to a measured energy for
     that exact block.  Measured radios are not perfectly linear, so a block
     override is used verbatim wherever a segment of exactly that length is
-    costed; everything else falls back to per-byte rate x length.
+    costed; everything else falls back to per-byte rate x length.  Every
+    energy is held as an exact ``Fraction``, made once when the profile is built.
     """
 
-    m_tx: float
-    m_rx: float
-    e_cca: float
-    e_listen: float
+    m_tx: Fraction
+    m_rx: Fraction
+    e_cca: Fraction
+    e_listen: Fraction
     block_overrides: dict = field(default_factory=dict)
     name: str = ""
 
     def __post_init__(self):
-        for attr in ("m_tx", "m_rx", "e_cca", "e_listen"):
-            _check_energy(attr, getattr(self, attr))
+        for attr in ENERGIES:
+            object.__setattr__(self, attr, _energy(attr, getattr(self, attr)))
+        overrides = {}
         for key, value in self.block_overrides.items():
             direction, nbytes = key
             if direction not in DIRECTIONS:
                 raise ProfileError(f"block override direction must be tx or rx, got {direction!r}")
             if type(nbytes) is not int or nbytes <= 0:
                 raise ProfileError(f"block override byte count must be a positive integer, got {nbytes!r}")
-            _check_energy(f"block override energy for {key}", value)
+            overrides[key] = _energy(f"block override energy for {key}", value)
+        object.__setattr__(self, "block_overrides", overrides)
 
     def block_cost(self, direction: str, nbytes: int) -> Fraction:
         override = self.block_overrides.get((direction, nbytes))
         if override is not None:
-            return as_exact(override)
-        rate = self.m_tx if direction == "tx" else self.m_rx
-        return as_exact(rate) * nbytes
+            return override
+        return (self.m_tx if direction == "tx" else self.m_rx) * nbytes
 
 
 @dataclass(frozen=True)
@@ -98,16 +101,8 @@ def build_model(profile: RadioProfile, frame: FrameConfig) -> EnergyModel:
     """Derive the linear send/receive model for a radio and frame layout."""
     overhead = data_frame_length(frame, 0)
     ack = ack_frame_length()
-    b_send = (
-        as_exact(profile.e_cca)
-        + profile.block_cost("tx", overhead)
-        + profile.block_cost("rx", ack)
-    )
-    b_receive = (
-        as_exact(profile.e_listen)
-        + profile.block_cost("rx", overhead)
-        + profile.block_cost("tx", ack)
-    )
+    b_send = profile.e_cca + profile.block_cost("tx", overhead) + profile.block_cost("rx", ack)
+    b_receive = profile.e_listen + profile.block_cost("rx", overhead) + profile.block_cost("tx", ack)
     return EnergyModel(
         m_send=profile.m_tx,
         b_send=b_send,
@@ -164,17 +159,7 @@ def profile_preset(name: str) -> RadioProfile:
         raise ProfileError(f"unknown profile preset {name!r} (available: {known})") from None
 
 
-_PROFILE_FIELDS = {
-    "schema_version",
-    "kind",
-    "name",
-    "m_tx",
-    "m_rx",
-    "e_cca",
-    "e_listen",
-    "block_overrides",
-    "frame",
-}
+_PROFILE_FIELDS = {"schema_version", "kind", "name", *ENERGIES, "block_overrides", "frame"}
 _FRAME_FIELDS = {
     "preset",
     "dest_pan_bytes",
@@ -210,7 +195,7 @@ def _byte_count(key: str) -> int:
 
 def profile_from_dict(doc: dict):
     """Parse a profile document; returns (RadioProfile, FrameConfig | None)."""
-    fields(doc, "profile document", ProfileError, _PROFILE_FIELDS, ("m_tx", "m_rx", "e_cca", "e_listen"))
+    fields(doc, "profile document", ProfileError, _PROFILE_FIELDS, ENERGIES)
     if doc.get("kind", "radio-profile") != "radio-profile":
         raise ProfileError(f"'kind' must be 'radio-profile', got {doc['kind']!r}")
     if not isinstance(doc.get("name", ""), str):
@@ -221,14 +206,7 @@ def profile_from_dict(doc: dict):
         for direction, by_count in blocks.items()
         for key, energy in fields(by_count, f"'block_overrides.{direction}'", ProfileError).items()
     }
-    profile = RadioProfile(
-        m_tx=doc["m_tx"],
-        m_rx=doc["m_rx"],
-        e_cca=doc["e_cca"],
-        e_listen=doc["e_listen"],
-        block_overrides=overrides,
-        name=doc.get("name", ""),
-    )
+    profile = RadioProfile(*(doc[attr] for attr in ENERGIES), overrides, doc.get("name", ""))
     frame = _frame_from_dict(doc["frame"]) if "frame" in doc else None
     return profile, frame
 
@@ -236,16 +214,10 @@ def profile_from_dict(doc: dict):
 def profile_to_dict(profile: RadioProfile) -> dict:
     overrides = {}
     for (direction, nbytes), energy in sorted(profile.block_overrides.items()):
-        overrides.setdefault(direction, {})[str(nbytes)] = energy
-    doc = {
-        "schema_version": 1,
-        "kind": "radio-profile",
-        "name": profile.name,
-        "m_tx": profile.m_tx,
-        "m_rx": profile.m_rx,
-        "e_cca": profile.e_cca,
-        "e_listen": profile.e_listen,
-    }
+        overrides.setdefault(direction, {})[str(nbytes)] = to_float("block override energy", energy)
+    doc = {"schema_version": 1, "kind": "radio-profile", "name": profile.name}
+    for attr in ENERGIES:
+        doc[attr] = to_float(attr, getattr(profile, attr))
     if overrides:
         doc["block_overrides"] = overrides
     return doc

@@ -1,8 +1,9 @@
 """Errors and the reading and writing of JSON documents.
 
 Every input error is an ``Error``, which the command line reports with exit
-code 2.  Input documents are read by ``read_json`` and checked for shape by
-``fields``; the values inside are checked by the classes they build.  A
+code 2.  Input documents are read by ``read_json``, which reads every JSON
+number at its written decimal, and checked for shape by ``fields``; the
+values inside are checked, and made exact, by the classes they build.  A
 loader wraps the read and the build in ``labelled`` with the file's path, so
 every error from an input file, of shape or of value, names that file.
 Output documents are written by ``dumps_canonical``.
@@ -10,6 +11,7 @@ Output documents are written by ``dumps_canonical``.
 
 import json
 from contextlib import contextmanager
+from decimal import Decimal
 from pathlib import Path
 
 
@@ -27,10 +29,28 @@ def labelled(where):
         raise
 
 
+class JSONDecimal(Decimal):
+    """A JSON number with a fraction or an exponent, held at the decimal it is
+    written as and shown that way: an error says ``got 8.0``, not ``got Decimal('8.0')``."""
+
+    __repr__ = Decimal.__str__
+
+
+MAX_EXPONENT = 4300  # Python reads no JSON integer of more digits than this
+
+
 def read_json(path: Path, error: type[Error]):
-    """The JSON document in the file at ``path``, or ``error`` if its text is not JSON."""
+    """The JSON document in the file at ``path``, or ``error`` if its text is not JSON.
+    A number that is not an integer is a ``JSONDecimal``; only ``Infinity`` and ``NaN`` are floats."""
+
+    def decimal(text: str) -> JSONDecimal:
+        number = JSONDecimal(text)
+        if abs(number.adjusted()) > MAX_EXPONENT:  # 1e9999999 would be exact only as a 10-million-digit int
+            raise error(f"number {text} is out of range: its exponent is beyond ±{MAX_EXPONENT}")
+        return number
+
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(), parse_float=decimal)
     # a JSONDecodeError, a UnicodeDecodeError on undecodable bytes, or nesting too deep to decode
     except (ValueError, RecursionError) as exc:
         raise error(f"not valid JSON: {exc}") from exc

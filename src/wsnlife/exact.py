@@ -7,8 +7,11 @@ model coefficients, per-packet energies, iteration floors, simulated
 battery drain -- are therefore carried out on exact rationals and converted
 to float only where a report is built, through ``to_float``.
 
-A float entering the exact pipeline is read at its shortest round-trip
-decimal form, i.e. ``0.12`` means 12/100, not the 53-bit binary neighbour.
+A number becomes exact once, where it is read: a JSON number arrives as an
+int or a decimal at the digits it was written with, and ``exact_number``
+checks it and makes it a ``Fraction``.  Only a float -- a command-line flag
+or a float API argument -- is read at its shortest round-trip decimal form,
+i.e. ``0.12`` means 12/100, not the 53-bit binary neighbour.
 """
 
 from decimal import ROUND_HALF_UP, Context, Decimal
@@ -35,6 +38,17 @@ def as_exact(x: Number) -> Fraction:
     raise TypeError(f"not a number: {x!r}")
 
 
+def exact_number(what: str, value, error: type[Error]) -> Fraction:
+    """``value`` as an exact rational if it is a finite number, else ``error``
+    naming ``what``: ``True`` compares equal to 1 but is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, Decimal, Fraction)):
+        raise error(f"{what} must be a number, got {value!r}")
+    try:
+        return as_exact(value)
+    except Error:  # an infinity or a NaN
+        raise error(f"{what} must be finite") from None
+
+
 def to_float(what: str, x: Fraction | int, scale: int = 1) -> float:
     """``x / scale`` correctly rounded to a report float; ``Error`` if too large."""
     try:
@@ -43,12 +57,10 @@ def to_float(what: str, x: Fraction | int, scale: int = 1) -> float:
         raise Error(f"{what} too large to report") from None
 
 
-def round_half_up(x: Number) -> float:
+def round_half_up(x: Fraction | float) -> float:
     """``x`` to two decimals, rounding half up: the reporting convention (2.675 -> 2.68)."""
     if isinstance(x, Fraction):
         d = Decimal(x.numerator) / Decimal(x.denominator)
-    elif isinstance(x, Decimal):
-        d = x
     else:
         d = Decimal(repr(float(x)))
     # enough digits for every one left of the point and two right of it, or quantize raises InvalidOperation

@@ -90,9 +90,9 @@ def test_criterion_4_calibration():
     with criterion("criterion 4 (calibration)"):
         slots = load_readings(fixture_path("cc2420.readings.json"))
         rounded = profile_from_readings(round_like_paper=True, **slots)
-        assert rounded.e_cca == 0.08
-        assert rounded.e_listen == 0.58
-        assert rounded.m_tx == 0.12
+        assert rounded.e_cca == Fraction("0.08")
+        assert rounded.e_listen == Fraction("0.58")
+        assert rounded.m_tx == Fraction("0.12")
         plain = profile_from_readings(**slots)
         assert abs(plain.e_cca - 0.0806) <= 0.0005
         assert abs(plain.e_listen - 0.576) <= 0.0005

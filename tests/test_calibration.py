@@ -111,7 +111,7 @@ def test_mean_over_repeated_readings():
     # energy is linear in v_scope, so averaging two symmetric traces lands on the middle one
     pair = (ScopeReading(3.0, 0.0014), ScopeReading(3.4, 0.0014))
     profile = profile_from_readings(pair, LISTEN, TX, RX)
-    assert profile.e_cca == float(reading_energy(CCA))
+    assert profile.e_cca == as_exact(float(reading_energy(CCA)))
 
 
 def test_input_validation():
@@ -121,7 +121,7 @@ def test_input_validation():
         ScopeReading(v_scope=1.0, duration=-0.5)
     with pytest.raises(ZeroEffectiveBytes):
         PacketReading(ScopeReading(1.0, 0.1), byte_count=4, excluded_preamble_bytes=4)
-    with pytest.raises(ZeroEffectiveBytes):
+    with pytest.raises(ReadingsError, match="excluded_preamble_bytes must be a non-negative integer, got -1"):
         PacketReading(ScopeReading(1.0, 0.1), byte_count=4, excluded_preamble_bytes=-1)
 
 
@@ -132,7 +132,7 @@ def test_readings_file_loader_matches_inline_values():
     assert slots["tx"] == TX
     assert slots["rx"] == RX
     profile = profile_from_readings(round_like_paper=True, **slots)
-    assert profile.e_cca == 0.08 and profile.e_listen == 0.58 and profile.m_tx == 0.12
+    assert (profile.e_cca, profile.e_listen, profile.m_tx) == (Fraction("0.08"), Fraction("0.58"), Fraction("0.12"))
 
 
 def test_readings_file_validation(tmp_path):
@@ -162,7 +162,7 @@ def test_readings_file_validation(tmp_path):
     for byte_count in ("46.0", "46.5"):
         inexact = f'{{"v_scope": 1, "duration_ms": 1, "byte_count": {byte_count}}}'
         path.write_text(f'{{"cca": {good}, "listening": {good}, "tx": {inexact}, "rx": {packet}}}')
-        with pytest.raises(ReadingsError, match=f"byte_count must be an integer, got {byte_count}"):
+        with pytest.raises(ReadingsError, match=f"byte_count must be a non-negative integer, got {byte_count}"):
             load_readings(path)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import shutil
@@ -6,6 +7,7 @@ import sys
 import textwrap
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 import wsnlife.cli
 from wsnlife.bounds import lifetime_bounds
+from wsnlife.calibration import load_readings, profile_from_readings
 from wsnlife.cli import main
 from wsnlife.energy_model import CC2420_PAPER, load_profile
 from wsnlife.fixtures import fixture_path
@@ -201,21 +204,26 @@ def _bundled_with(name: str, *path, value) -> dict:
         ("bounds", _bundled_with("cc2420-paper.profile.json", "frame", value={"src_addr_bytes": 8.0}),
          "src_addr_bytes must be a non-negative integer, got 8.0"),
         ("bounds", _bundled_with("cc2420-paper.profile.json", "m_tx", value=-0.12), "m_tx must be >= 0"),
-        ("bounds", _bundled_with("cc2420-paper.profile.json", "m_tx", value=float("inf")), "not a finite number: inf"),
+        ("bounds", _bundled_with("cc2420-paper.profile.json", "m_tx", value=float("inf")), "m_tx must be finite"),
+        ("bounds", _bundled_with("cc2420-paper.profile.json", "block_overrides", "tx", "11", value=float("nan")),
+         "block override energy for ('tx', 11) must be finite"),
         ("partition", {"nodes": ["B", "a"], "edges": [["B", "a"], ["a", "B"]], "base": "B"},
          "duplicate edge ['B', 'a']"),
         ("partition", {"nodes": ["B", "a"], "edges": [["B", "a"], ["a", "a"]], "base": "B"},
          "self-loop on node 'a'"),
         ("partition", {"nodes": [], "edges": [], "base": "B"}, "topology has no nodes"),
         ("calibrate", _bundled_with("cc2420.readings.json", "cca", "v_scope", value=0), "cca: v_scope must be > 0"),
+        ("calibrate", _bundled_with("cc2420.readings.json", "tx", "v_scope", value=float("inf")),
+         "tx: v_scope must be finite"),
+        ("calibrate", _bundled_with("cc2420.readings.json", "gain", value=float("nan")), "cca: gain must be finite"),
         ("calibrate", _bundled_with("cc2420.readings.json", "tx", "byte_count", value=46.5),
-         "tx: byte_count must be an integer, got 46.5"),
+         "tx: byte_count must be a non-negative integer, got 46.5"),
         ("calibrate", _bundled_with("cc2420.readings.json", "tx", "byte_count", value=3),
          "tx: byte_count (3) must exceed excluded preamble bytes (4)"),
     ],
     ids=[
-        "frame-float", "negative-rate", "infinite-rate", "duplicate-edge", "self-loop", "no-nodes", "zero-volts",
-        "float-bytes", "few-bytes",
+        "frame-float", "negative-rate", "infinite-rate", "nan-override", "duplicate-edge", "self-loop", "no-nodes",
+        "zero-volts", "infinite-volts", "nan-gain", "float-bytes", "few-bytes",
     ],
 )
 def test_value_errors_in_an_input_file_name_the_file(capsys, tmp_path, command, doc, message):
@@ -376,7 +384,7 @@ def test_calibrate_roundtrip_into_bounds(capsys, tmp_path):
     )
     assert code == 0
     profile, _ = load_profile(profile_path)
-    assert (profile.m_tx, profile.e_cca, profile.e_listen) == (0.12, 0.08, 0.58)
+    assert (profile.m_tx, profile.e_cca, profile.e_listen) == (Fraction("0.12"), Fraction("0.08"), Fraction("0.58"))
     for key, energy in CC2420_PAPER.block_overrides.items():
         assert profile.block_overrides[key] == energy
     # derived profile drives the same worked-example bounds
@@ -466,6 +474,59 @@ def test_calibrate_missing_readings_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "calibrate", str(tmp_path / "absent.readings.json"))
     assert code == 2
     assert "not found" in err
+
+
+CALIBRATE_SHA256 = {
+    (): "d8202a241c31eea6ba4ca7049cf5ea31ab8297422b2b85e5f2b8451ba7288d4e",
+    ("--round-like-paper",): "03001330befc9f36edbd475f2b896741b7381e50ea699179a4b36336d7255bc2",
+}
+
+
+@pytest.mark.parametrize("flags", CALIBRATE_SHA256, ids=["unrounded", "round-like-paper"])
+def test_calibrate_output_is_golden_and_loads_back_as_the_same_profile(capsys, tmp_path, flags):
+    code, out, _ = run_cli(capsys, "calibrate", "cc2420.readings.json", *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CALIBRATE_SHA256[flags]
+    path = tmp_path / "calibrated.profile.json"
+    path.write_text(out)
+    slots = load_readings(fixture_path("cc2420.readings.json"))
+    derived = profile_from_readings(round_like_paper=bool(flags), name="calibrated", **slots)
+    assert load_profile(path) == (derived, None)
+
+
+def _bounds_lower_iterations(capsys, profile_text: str, tmp_path) -> int:
+    path = tmp_path / "p.profile.json"
+    path.write_text(profile_text)
+    argv = ("bounds", FIXTURE_29, "--profile", str(path), "--payload", "2", "--battery", "221.13")
+    code, out, _ = run_cli(capsys, *argv, "--format", "structured")
+    assert code == 0
+    return json.loads(out)["t_max"]["lower_iterations"]
+
+
+def test_profile_decimals_are_read_at_every_written_digit(capsys, tmp_path):
+    # 221.13 J is exactly 1000 iterations of the worst-case drain, so a rate
+    # 1e-20 mJ above 0.12, which no float can tell from 0.12, ends one sooner
+    bundled = fixture_path("cc2420-paper.profile.json").read_text()
+    finer = bundled.replace('"m_tx": 0.12,', '"m_tx": 0.12000000000000000001,')
+    assert finer != bundled
+    assert _bounds_lower_iterations(capsys, bundled, tmp_path) == 1000
+    assert _bounds_lower_iterations(capsys, finer, tmp_path) == 999
+
+
+def test_number_with_a_runaway_exponent_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "huge.profile.json"
+    path.write_text('{"m_tx": 1e99999, "m_rx": 0, "e_cca": 0, "e_listen": 0}')
+    code, out, err = run_cli(capsys, "bounds", FIXTURE_29, "--profile", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: number 1e99999 is out of range: its exponent is beyond ±4300\n"
+
+
+@pytest.mark.parametrize("flags", CALIBRATE_SHA256, ids=["unrounded", "round-like-paper"])
+def test_calibrated_energy_beyond_the_float_range_is_an_input_error(capsys, tmp_path, flags):
+    path = tmp_path / "huge.readings.json"
+    path.write_text(fixture_path("cc2420.readings.json").read_text().replace('"v_scope": 2.92', '"v_scope": 2.92e400'))
+    code, out, err = run_cli(capsys, "calibrate", str(path), *flags)
+    assert (code, out, err) == (2, "", "error: calibrated energy too large to report\n")
 
 
 @pytest.mark.parametrize(

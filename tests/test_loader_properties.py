@@ -19,9 +19,11 @@ from wsnlife.topology import Topology, node_key, partition, topology_from_dict
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=300)
 
-# Anything json.loads can return, NaN and infinities included.
+# Anything read_json can return: decimals, and the floats of NaN and the
+# infinities; a float for an API caller's number too.
+decimals = st.decimals(min_value=-10**6, max_value=10**6, allow_nan=False)
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    st.none() | st.booleans() | st.integers() | decimals | st.floats() | st.text(max_size=4),
     lambda children: st.lists(children, max_size=3)
     | st.dictionaries(st.text(max_size=4), children, max_size=3),
     max_leaves=8,
@@ -62,7 +64,7 @@ def _topologies(draw):
     }
 
 
-energies = _mostly(st.floats(min_value=0, max_value=5) | st.integers(min_value=0, max_value=5))
+energies = _mostly(st.decimals(min_value=0, max_value=5) | st.floats(min_value=0, max_value=5) | st.integers(0, 5))
 # keys that int() reads as 18 but that are not its plain decimal form
 byte_counts = _mostly(
     st.sampled_from(["11", "18", "3", "018", " 18", "1_8"]),
@@ -136,7 +138,7 @@ def _bundled_readings() -> dict:
 
 def _files(documents):
     """File contents: ``documents`` as JSON, or random bytes one time in four."""
-    as_json = documents.map(lambda doc: json.dumps(doc).encode())
+    as_json = documents.map(lambda doc: json.dumps(doc, default=float).encode())  # a decimal as its nearest float
     return st.integers(0, 3).flatmap(lambda i: st.binary(max_size=64) if i == 0 else as_json)
 
 

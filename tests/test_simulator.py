@@ -3,14 +3,16 @@ import io
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     assert_above_graph_lower_bound,
     irregular_topology,
+    iteration_receives,
     random_connected_topology,
     reference_simulate,
     tree_descendants_oracle,
@@ -362,6 +364,42 @@ def test_bounds_bracket_every_run(n, graph_seed, irregular, coefficients, payloa
         return
     validate_against_bounds(result, report)
     assert_above_graph_lower_bound(topo, part, model, result)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@settings(derandomize=True, deadline=None, database=None, max_examples=30)
+@given(
+    n=st.integers(2, 30),
+    graph_seed=st.integers(0, 2**16),
+    irregular=st.booleans(),
+    coefficients=st.tuples(coefficients, coefficients, coefficients, coefficients),
+    payload=st.integers(0, 109),
+    battery=st.floats(0.001, 20),
+    # or the battery that the busiest node spends in exactly that many
+    # iterations: the boundary between spending it all and dying
+    spent_in=st.none() | st.integers(1, 300),
+    cap=st.just(1000) | st.integers(1, 1000),  # the reference steps every iteration
+    seed=st.integers(0, 999),
+)
+def test_simulate_matches_the_reference_stepper_on_any_input(
+    strategy, n, graph_seed, irregular, coefficients, payload, battery, spent_in, cap, seed
+):
+    rng = random.Random(graph_seed)
+    topo = (irregular_topology if irregular else random_connected_topology)(rng, n)
+    part = partition(topo)
+    model = EnergyModel(*coefficients, 18, 11)
+    if spent_in is not None:
+        receives = iteration_receives(strategy, topo, part, seed)
+        received = Counter()
+        for i in range(spent_in):
+            received.update(receives(i))
+        e_recv, e_send = receive_energy(model, payload), send_energy(model, payload)
+        battery = max(r * e_recv + (r + spent_in) * e_send for r in received.values()) / 1000
+        assume(battery > 0)
+    config = SimConfig(strategy=strategy, payload_bytes=payload, battery_joules=battery, max_iterations=cap, seed=seed)
+    result = simulate(topo, part, model, config)
+    expected = reference_simulate(topo, part, model, config)
+    assert {key: getattr(result, key) for key in expected} == expected
 
 
 def test_balanced_rotating_touches_upper_bound_when_shares_divide():
