@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .energy_model import EnergyModel, receive_energy, send_energy
 from .errors import Error
-from .exact import as_exact, to_float
+from .exact import as_exact, exact_number, to_float
 from .topology import SpherePartition
 
 
@@ -118,9 +118,11 @@ def lifetime_bounds(
     in wall-clock hours given one iteration every ``interval_s`` seconds."""
     if partition.k < 1:
         raise Error("lifetime bounds need at least one node beyond the base station")
-    if not battery_joules > 0:
+    battery_mj = exact_number("battery_joules", battery_joules, Error) * 1000
+    if not battery_mj > 0:
         raise Error("battery_joules must be > 0")
-    if not interval_s > 0:
+    interval = exact_number("interval_s", interval_s, Error)
+    if not interval > 0:
         raise Error("interval_s must be > 0")
 
     e_send = send_energy(model, payload_bytes)
@@ -134,12 +136,10 @@ def lifetime_bounds(
     if worst == 0 or m_max == 0:
         raise ZeroEnergyModel("all energy coefficients are zero")
 
-    battery_mj = as_exact(battery_joules) * 1000
     t_lower = battery_mj / worst
     t_upper = battery_mj / m_max
     it_lower = math.floor(t_lower)
     it_upper = math.floor(t_upper)
-    interval = as_exact(interval_s)
 
     return BoundsReport(
         per_sphere_min=tuple(to_float("sphere load minimum", m) for m in per_sphere),

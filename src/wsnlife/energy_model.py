@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import Error, dumps_canonical, fields, labelled, read_json
+from .errors import Error, fields, labelled, read_json
 from .exact import as_exact, exact_number, to_float
 from .frame_model import (
     FRAME_PRESETS,
@@ -83,14 +83,13 @@ class RadioProfile:
 
 @dataclass(frozen=True)
 class EnergyModel:
-    """The four linear coefficients (exact mJ) plus the frame geometry they were built for."""
+    """The four linear coefficients (exact mJ) plus the data-frame overhead (bytes) they were built for."""
 
     m_send: Fraction
     b_send: Fraction
     m_receive: Fraction
     b_receive: Fraction
     overhead_bytes: int
-    ack_bytes: int
 
     def __post_init__(self):
         for attr in ("m_send", "b_send", "m_receive", "b_receive"):
@@ -109,7 +108,6 @@ def build_model(profile: RadioProfile, frame: FrameConfig) -> EnergyModel:
         m_receive=profile.m_rx,
         b_receive=b_receive,
         overhead_bytes=overhead,
-        ack_bytes=ack,
     )
 
 
@@ -228,7 +226,3 @@ def load_profile(path):
     path = Path(path)
     with labelled(path):
         return profile_from_dict(read_json(path, ProfileError))
-
-
-def save_profile(profile: RadioProfile, path) -> None:
-    Path(path).write_text(dumps_canonical(profile_to_dict(profile)) + "\n")

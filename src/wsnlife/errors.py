@@ -36,21 +36,11 @@ class JSONDecimal(Decimal):
     __repr__ = Decimal.__str__
 
 
-MAX_EXPONENT = 4300  # Python reads no JSON integer of more digits than this
-
-
 def read_json(path: Path, error: type[Error]):
     """The JSON document in the file at ``path``, or ``error`` if its text is not JSON.
     A number that is not an integer is a ``JSONDecimal``; only ``Infinity`` and ``NaN`` are floats."""
-
-    def decimal(text: str) -> JSONDecimal:
-        number = JSONDecimal(text)
-        if abs(number.adjusted()) > MAX_EXPONENT:  # 1e9999999 would be exact only as a 10-million-digit int
-            raise error(f"number {text} is out of range: its exponent is beyond ±{MAX_EXPONENT}")
-        return number
-
     try:
-        return json.loads(path.read_text(), parse_float=decimal)
+        return json.loads(path.read_text(), parse_float=JSONDecimal)
     # a JSONDecodeError, a UnicodeDecodeError on undecodable bytes, or nesting too deep to decode
     except (ValueError, RecursionError) as exc:
         raise error(f"not valid JSON: {exc}") from exc

@@ -11,7 +11,10 @@ A number becomes exact once, where it is read: a JSON number arrives as an
 int or a decimal at the digits it was written with, and ``exact_number``
 checks it and makes it a ``Fraction``.  Only a float -- a command-line flag
 or a float API argument -- is read at its shortest round-trip decimal form,
-i.e. ``0.12`` means 12/100, not the 53-bit binary neighbour.
+i.e. ``0.12`` means 12/100, not the 53-bit binary neighbour.  No string is
+taken as a number.  A decimal whose exponent is beyond ±4300 is rejected
+here, where it would become exact: ``1e10000000`` is exact only as an int
+of ten million digits.
 """
 
 from decimal import ROUND_HALF_UP, Context, Decimal
@@ -19,34 +22,34 @@ from fractions import Fraction
 
 from .errors import Error
 
-Number = int | float | str | Decimal | Fraction
+MAX_EXPONENT = 4300  # Python reads no integer literal of more digits than this
 
 
-def as_exact(x: Number) -> Fraction:
-    """Exact rational value of ``x``; infinities and NaN raise ``Error``."""
+def as_exact(x: int | float | Decimal | Fraction, what: str = "number", error: type[Error] = Error) -> Fraction:
+    """Exact rational value of ``x``; ``error`` naming ``what`` if ``x`` is
+    infinite, NaN, or a decimal of an exponent beyond ±``MAX_EXPONENT``."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, (float, str, Decimal)):
+    if isinstance(x, (float, Decimal)):
         # repr() gives the shortest decimal that round-trips, which is the
         # number the user actually wrote.
-        d = Decimal(repr(x) if isinstance(x, float) else x)
+        d = Decimal(repr(x)) if isinstance(x, float) else x
         if not d.is_finite():
-            raise Error(f"not a finite number: {x!r}")
+            raise error(f"{what} must be finite")
+        if abs(d.adjusted()) > MAX_EXPONENT:
+            raise error(f"{what} is out of range: its exponent is beyond ±{MAX_EXPONENT}")
         return Fraction(d)
     raise TypeError(f"not a number: {x!r}")
 
 
 def exact_number(what: str, value, error: type[Error]) -> Fraction:
-    """``value`` as an exact rational if it is a finite number, else ``error``
-    naming ``what``: ``True`` compares equal to 1 but is not a number."""
+    """``value`` as an exact rational if it is a number ``as_exact`` takes, else
+    ``error`` naming ``what``: ``True`` compares equal to 1 but is not a number."""
     if isinstance(value, bool) or not isinstance(value, (int, float, Decimal, Fraction)):
         raise error(f"{what} must be a number, got {value!r}")
-    try:
-        return as_exact(value)
-    except Error:  # an infinity or a NaN
-        raise error(f"{what} must be finite") from None
+    return as_exact(value, what, error)
 
 
 def to_float(what: str, x: Fraction | int, scale: int = 1) -> float:

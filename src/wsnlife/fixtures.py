@@ -42,11 +42,6 @@ def layered_topology(sizes) -> Topology:
     return Topology(nodes=nodes, edges=edges, base="base")
 
 
-def example29() -> Topology:
-    """The worked 29-node example network: layer sizes 1, 4, 6, 10, 8."""
-    return layered_topology((1, 4, 6, 10, 8))
-
-
 def fixture_path(name: str):
     """Filesystem path of a bundled data file."""
     if name not in FIXTURE_FILES:

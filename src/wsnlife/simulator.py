@@ -42,14 +42,15 @@ period before the whole periods every node survives are skipped.
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 from operator import add
 from typing import NamedTuple
 
 from .bounds import BoundsReport
 from .energy_model import EnergyModel, receive_energy, send_energy
 from .errors import Error
-from .exact import as_exact, to_float
+from .exact import exact_number, to_float
 from .frame_model import byte_count
 from .topology import NodeId, SpherePartition, Topology, node_key
 
@@ -78,14 +79,17 @@ class SimConfig:
     battery_joules: float = 30780.0
     max_iterations: int = 10**9
     seed: int = 0
+    battery_mj: Fraction = field(init=False, repr=False, compare=False)  # the battery, exact
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise SimulationError(
                 f"unknown strategy {self.strategy!r} (available: {', '.join(STRATEGIES)})"
             )
-        if not self.battery_joules > 0:
+        battery_mj = exact_number("battery_joules", self.battery_joules, SimulationError) * 1000
+        if not battery_mj > 0:
             raise SimulationError("battery_joules must be > 0")
+        object.__setattr__(self, "battery_mj", battery_mj)
         if self.max_iterations < 1:
             raise SimulationError("max_iterations must be >= 1")
         byte_count("payload_bytes", self.payload_bytes, SimulationError)
@@ -273,7 +277,7 @@ def iteration_cost(model: EnergyModel, config: SimConfig):
     exact = (
         receive_energy(model, config.payload_bytes),
         send_energy(model, config.payload_bytes),
-        as_exact(config.battery_joules) * 1000,  # mJ
+        config.battery_mj,
     )
     scale = math.lcm(*(x.denominator for x in exact))
     unit_recv, unit_send, budget = (int(x * scale) for x in exact)

@@ -4,10 +4,10 @@ Nodes are opaque identifiers (strings or ints) compared by equality;
 deterministic ordering always uses the canonical string form.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
-from .errors import Error, dumps_canonical, fields, labelled, read_json
+from .errors import Error, fields, labelled, read_json
 
 NodeId = str | int
 _ID_TYPES = {str, int}  # exact types: bool and float ids compare equal to ints
@@ -35,22 +35,19 @@ def node_key(node: NodeId) -> str:
     return str(node)
 
 
-def canonical_edge(a: NodeId, b: NodeId) -> tuple[NodeId, NodeId]:
-    """The pair in ``node_key`` order, the one stored form of an undirected edge."""
-    return (a, b) if node_key(a) <= node_key(b) else (b, a)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topology:
     """Undirected graph with a base station; construction checks every id and
-    edge once, and in the same pass lists each node's adjacent nodes in ``neighbors``."""
+    edge once, and in the same pass lists each node's adjacent nodes in
+    ``neighbors``, the one store of the edges.  A topology compares by its
+    document, ``to_dict()``."""
 
     nodes: frozenset
-    edges: frozenset
+    edges: InitVar[list]
     base: NodeId
-    neighbors: dict = field(init=False, compare=False, repr=False)
+    neighbors: dict = field(init=False, repr=False)  # node -> adjacent nodes, a dict used as an ordered set
 
-    def __post_init__(self):
+    def __post_init__(self, edges):
         ids = list(self.nodes)  # as given: a set would already merge 1, 1.0 and True
         if not ids:
             raise EmptyTopology("topology has no nodes")
@@ -69,28 +66,25 @@ class Topology:
         nodes = frozenset(ids)
         if self.base not in nodes:
             raise TopologyError(f"base station {node_key(self.base)!r} is not a node")
-        edges = set()
-        neighbors = {v: [] for v in nodes}
-        for a, b in self.edges:
+        neighbors = {v: {} for v in nodes}
+        for a, b in edges:
             for v in (a, b):
                 if type(v) not in _ID_TYPES or v not in nodes:
                     raise TopologyError(f"edge endpoint {v!r} is not a node")
             if a == b:
                 raise TopologyError(f"self-loop on node {node_key(a)!r}")
-            edge = canonical_edge(a, b)
-            if edge in edges:
-                raise TopologyError(f"duplicate edge {list(edge)}")
-            edges.add(edge)
-            neighbors[a].append(b)
-            neighbors[b].append(a)
+            if b in neighbors[a]:
+                raise TopologyError(f"duplicate edge {sorted((a, b), key=node_key)}")
+            neighbors[a][b] = neighbors[b][a] = None
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", frozenset(edges))
         object.__setattr__(self, "neighbors", neighbors)
 
     def to_dict(self) -> dict:
+        """The topology's document: each edge once, as its pair in ``node_key`` order."""
+        edges = [[a, b] for a, adjacent in self.neighbors.items() for b in adjacent if node_key(a) < node_key(b)]
         return {
             "nodes": sorted(self.nodes, key=node_key),
-            "edges": sorted([list(e) for e in self.edges], key=lambda e: list(map(node_key, e))),
+            "edges": sorted(edges, key=lambda e: list(map(node_key, e))),
             "base": self.base,
         }
 
@@ -133,15 +127,6 @@ class SpherePartition:
             running += s
             cumulative.append(running)
         return cls(spheres, sizes, tuple(cumulative), running)
-
-    @classmethod
-    def from_sizes(cls, sizes) -> "SpherePartition":
-        """Synthetic partition with placeholder node names, for analysis that
-        depends only on the layer sizes."""
-        spheres = []
-        for i, size in enumerate(sizes):
-            spheres.append(frozenset(f"s{i}n{j:02d}" for j in range(size)))
-        return cls.from_spheres(spheres)
 
     def sphere_index(self, node: NodeId) -> int:
         for i, sphere in enumerate(self.spheres):
@@ -206,8 +191,3 @@ def load_topology(path) -> Topology:
     path = Path(path)
     with labelled(path):
         return topology_from_dict(read_json(path, TopologyError))
-
-
-def save_topology(topology: Topology, path) -> None:
-    doc = {"schema_version": 1, **topology.to_dict()}
-    Path(path).write_text(dumps_canonical(doc) + "\n")

@@ -3,11 +3,36 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
-from wsnlife.energy_model import receive_energy, send_energy
+from wsnlife.energy_model import profile_to_dict, receive_energy, send_energy
+from wsnlife.errors import dumps_canonical
 from wsnlife.exact import as_exact
 from wsnlife.simulator import build_workload
-from wsnlife.topology import SpherePartition, Topology, canonical_edge, node_key
+from wsnlife.topology import SpherePartition, Topology, node_key
+
+
+def save_topology(topology: Topology, path) -> None:
+    """Write ``topology`` as a topology file."""
+    Path(path).write_text(dumps_canonical({"schema_version": 1, **topology.to_dict()}) + "\n")
+
+
+def save_profile(profile, path) -> None:
+    """Write ``profile`` as a profile file."""
+    Path(path).write_text(dumps_canonical(profile_to_dict(profile)) + "\n")
+
+
+def edge_pairs(topology: Topology) -> list:
+    """Each edge of ``topology`` once, read from its document."""
+    return [tuple(edge) for edge in topology.to_dict()["edges"]]
+
+
+def partition_from_sizes(sizes) -> SpherePartition:
+    """Synthetic partition with placeholder node names, for analysis that
+    depends only on the layer sizes."""
+    return SpherePartition.from_spheres(
+        frozenset(f"s{i}n{j:02d}" for j in range(size)) for i, size in enumerate(sizes)
+    )
 
 
 def hop_distances_oracle(topology: Topology) -> dict:
@@ -20,7 +45,7 @@ def hop_distances_oracle(topology: Topology) -> dict:
     dist[topology.base] = 0
     for _ in range(len(topology.nodes)):
         changed = False
-        for a, b in topology.edges:
+        for a, b in edge_pairs(topology):
             if dist[a] + 1 < dist[b]:
                 dist[b] = dist[a] + 1
                 changed = True
@@ -35,12 +60,11 @@ def hop_distances_oracle(topology: Topology) -> dict:
 def random_connected_topology(rng: random.Random, n: int) -> Topology:
     """Random spanning tree over n nodes plus a few extra edges; base is v00."""
     nodes = [f"v{i:02d}" for i in range(n)]
-    edges = set()
+    edges = set()  # each pair sorted, so no edge is added twice
     for i in range(1, n):
-        edges.add(canonical_edge(nodes[i], nodes[rng.randrange(i)]))
+        edges.add(tuple(sorted((nodes[i], nodes[rng.randrange(i)]))))
     for _ in range(rng.randrange(0, max(1, n))):
-        a, b = rng.sample(nodes, 2)
-        edges.add(canonical_edge(a, b))
+        edges.add(tuple(sorted(rng.sample(nodes, 2))))
     return Topology(nodes=frozenset(nodes), edges=frozenset(edges), base=nodes[0])
 
 
@@ -70,7 +94,7 @@ def tree_descendants_oracle(topology: Topology) -> dict:
     adjacency, partition and workloads.
     """
     adj = {v: [] for v in topology.nodes}
-    for a, b in topology.edges:
+    for a, b in edge_pairs(topology):
         adj[a].append(b)
         adj[b].append(a)
     parent = {topology.base: None}
@@ -99,7 +123,7 @@ def random_partition(rng: random.Random, max_total: int = 50) -> SpherePartition
         size = rng.randint(1, remaining)
         sizes.append(size)
         remaining -= size
-    return SpherePartition.from_sizes(sizes)
+    return partition_from_sizes(sizes)
 
 
 def iteration_receives(strategy: str, topology: Topology, partition: SpherePartition, seed: int):
@@ -173,7 +197,7 @@ def graph_lower_bound(topology: Topology, partition: SpherePartition, model, pay
     """
     bit = {v: 1 << i for i, v in enumerate(sorted(topology.nodes, key=node_key))}
     neighbors = {v: [] for v in topology.nodes}
-    for a, b in topology.edges:
+    for a, b in edge_pairs(topology):
         neighbors[a].append(b)
         neighbors[b].append(a)
     upstream = {}

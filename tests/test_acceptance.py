@@ -17,7 +17,7 @@ from wsnlife.bounds import lifetime_bounds
 from wsnlife.calibration import load_readings, profile_from_readings, reading_energy
 from wsnlife.cli import dumps_canonical
 from wsnlife.energy_model import CC2420_PAPER, build_model, receive_energy, send_energy
-from wsnlife.fixtures import example29, fixture_path
+from wsnlife.fixtures import fixture_path, layered_topology
 from wsnlife.frame_model import frame_preset
 from wsnlife.simulator import STRATEGIES, SimConfig, simulate, validate_against_bounds
 from wsnlife.topology import Topology, load_topology, partition
@@ -62,7 +62,7 @@ def test_criterion_1_worked_example_base_case():
 def test_criterion_2_aggregation_variant():
     with criterion("criterion 2 (aggregation variant)"):
         started = time.perf_counter()
-        part = partition(example29())
+        part = partition(layered_topology((1, 4, 6, 10, 8)))
         base = lifetime_bounds(part, MODEL, payload_bytes=2, battery_joules=30780, interval_s=10)
         aggregated = lifetime_bounds(part, MODEL, payload_bytes=6, battery_joules=30780, interval_s=30)
         assert abs(aggregated.lifetime_lower_hours - 1036) <= 1

@@ -27,14 +27,14 @@ RX = PacketReading(ScopeReading(v_scope=2.88, duration=0.096), byte_count=46, ex
 
 def formula_mj(v_scope, duration):
     # independent recomputation of the sense-resistor formula
-    return as_exact(v_scope) / (as_exact(98) * as_exact("1.7")) * 3 * as_exact(duration) * 1000
+    return as_exact(v_scope) / (as_exact(98) * Fraction("1.7")) * 3 * as_exact(duration) * 1000
 
 
 def test_cca_reading_energy():
     energy = reading_energy(CCA)
     assert energy == pytest.approx(0.0806, abs=0.0005)
     assert round_half_up(energy) == 0.08
-    assert reading_energy(CCA) == formula_mj("3.2", "0.0014")
+    assert reading_energy(CCA) == formula_mj(Fraction("3.2"), Fraction("0.0014"))
 
 
 def test_listening_reading_energy():
@@ -169,10 +169,10 @@ def test_readings_file_validation(tmp_path):
 def test_readings_file_durations_enter_exactly(tmp_path):
     # a float millisecond count divided by 1000 in binary no longer reads back as the value written
     duration_ms = "26.881505180039124"
-    assert as_exact(float(as_exact(duration_ms) / 1000)) != as_exact(duration_ms) / 1000
+    assert as_exact(float(Fraction(duration_ms) / 1000)) != Fraction(duration_ms) / 1000
     path = tmp_path / "r.json"
     entry = f'{{"v_scope": 3.2, "duration_ms": {duration_ms}}}'
     packet = '{"v_scope": 1, "duration_ms": 1, "byte_count": 10}'
     path.write_text(f'{{"cca": {entry}, "listening": {entry}, "tx": {packet}, "rx": {packet}}}')
     (cca,) = load_readings(path)["cca"]
-    assert reading_energy(cca) == formula_mj("3.2", Fraction(duration_ms) / 1000)
+    assert reading_energy(cca) == formula_mj(Fraction("3.2"), Fraction(duration_ms) / 1000)

@@ -1,8 +1,11 @@
+import time
 from contextlib import nullcontext
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from helpers import save_profile
 from wsnlife.calibration import load_readings, profile_from_readings
 from wsnlife.exact import as_exact
 from wsnlife.energy_model import (
@@ -16,11 +19,17 @@ from wsnlife.energy_model import (
     profile_preset,
     profile_to_dict,
     receive_energy,
-    save_profile,
     send_energy,
 )
 from wsnlife.fixtures import fixture_path
-from wsnlife.frame_model import PPDU_SOFT_LIMIT, FrameConfig, FrameConfigError, FrameLengthWarning, frame_preset
+from wsnlife.frame_model import (
+    PPDU_SOFT_LIMIT,
+    FrameConfig,
+    FrameConfigError,
+    FrameLengthWarning,
+    ack_frame_length,
+    frame_preset,
+)
 
 TINYOS = frame_preset("paper-tinyos")
 
@@ -37,20 +46,30 @@ def test_cc2420_model_coefficients_exact():
         Fraction("0.12"), Fraction("3.54"), Fraction("0.12"), Fraction("4.03")
     )
     assert model.overhead_bytes == 18
-    assert model.ack_bytes == 11
+    assert ack_frame_length() == 11
 
 
 def test_calibrated_model_keeps_exact_intercepts():
     # unrounded calibrated energies have long decimals, which a float intercept would round
     profile = profile_from_readings(**load_readings(fixture_path("cc2420.readings.json")))
     model = build_model(profile, TINYOS)
-    overhead, ack = model.overhead_bytes, model.ack_bytes
+    overhead, ack = model.overhead_bytes, ack_frame_length()
     assert model.b_send == (
         as_exact(profile.e_cca) + profile.block_cost("tx", overhead) + profile.block_cost("rx", ack)
     )
     assert model.b_receive == (
         as_exact(profile.e_listen) + profile.block_cost("rx", overhead) + profile.block_cost("tx", ack)
     )
+
+
+def test_energy_with_a_runaway_exponent_is_rejected_before_it_is_made_exact():
+    # Fraction(Decimal("1e10000000")) builds a ten-million-digit int, which takes seconds
+    started = time.perf_counter()
+    with pytest.raises(ProfileError, match=r"^m_tx is out of range: its exponent is beyond ±4300$"):
+        RadioProfile(m_tx=Decimal("1e10000000"), m_rx=0, e_cca=0, e_listen=0)
+    with pytest.raises(ProfileError, match=r"^e_listen is out of range"):
+        RadioProfile(m_tx=0, m_rx=0, e_cca=0, e_listen=Decimal("1e-10000000"))
+    assert time.perf_counter() - started < 1
 
 
 def test_zero_profile_gives_zero_model():
@@ -103,8 +122,8 @@ def test_no_override_model_is_linear_in_rates():
     profile = RadioProfile(m_tx=0.25, m_rx=0.75, e_cca=0.05, e_listen=0.15)
     model = build_model(profile, TINYOS)
     # rebuild the intercepts by hand in exact decimal arithmetic
-    assert as_exact(model.b_send) == as_exact("0.05") + as_exact("0.25") * 18 + as_exact("0.75") * 11
-    assert as_exact(model.b_receive) == as_exact("0.15") + as_exact("0.75") * 18 + as_exact("0.25") * 11
+    assert as_exact(model.b_send) == Fraction("0.05") + Fraction("0.25") * 18 + Fraction("0.75") * 11
+    assert as_exact(model.b_receive) == Fraction("0.15") + Fraction("0.75") * 18 + Fraction("0.25") * 11
 
 
 def test_overrides_used_verbatim_only_for_their_exact_length():
@@ -112,9 +131,9 @@ def test_overrides_used_verbatim_only_for_their_exact_length():
         m_tx=0.1, m_rx=0.1, e_cca=0, e_listen=0, block_overrides={("tx", 18): 99.0}
     )
     tinyos = build_model(profile, TINYOS)  # overhead 18: override applies
-    assert as_exact(tinyos.b_send) == 99 + as_exact("0.1") * 11
+    assert as_exact(tinyos.b_send) == 99 + Fraction("0.1") * 11
     short = build_model(profile, FrameConfig())  # overhead 17: fallback rate
-    assert as_exact(short.b_send) == as_exact("0.1") * 17 + as_exact("0.1") * 11
+    assert as_exact(short.b_send) == Fraction("0.1") * 17 + Fraction("0.1") * 11
 
 
 def test_profile_validation():

@@ -4,6 +4,7 @@ import math
 import random
 import time
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,13 +14,15 @@ from helpers import (
     assert_above_graph_lower_bound,
     irregular_topology,
     iteration_receives,
+    partition_from_sizes,
     random_connected_topology,
     reference_simulate,
+    save_topology,
     tree_descendants_oracle,
 )
 from wsnlife.bounds import ZeroEnergyModel, lifetime_bounds, sphere_min_energy
 from wsnlife.cli import main
-from wsnlife.fixtures import example29, layered_topology
+from wsnlife.fixtures import layered_topology
 from wsnlife.energy_model import (
     CC2420_PAPER,
     EnergyModel,
@@ -40,10 +43,10 @@ from wsnlife.simulator import (
     simulate,
     validate_against_bounds,
 )
-from wsnlife.topology import SpherePartition, Topology, partition, save_topology
+from wsnlife.topology import SpherePartition, Topology, partition
 
 MODEL = build_model(CC2420_PAPER, frame_preset("paper-tinyos"))
-FREE = EnergyModel(0, 0, 0, 0, 18, 11)  # nothing drains, so every run reaches its cap
+FREE = EnergyModel(0, 0, 0, 0, 18)  # nothing drains, so every run reaches its cap
 
 
 def make(nodes, edges, base):
@@ -165,7 +168,7 @@ def _reference_cases():
         longest_layer, span = max(sizes), min(math.lcm(*sizes[1:]) - 1, 400)
         if 3 * longest_layer >= span:
             continue
-        part = SpherePartition.from_sizes(sizes)
+        part = partition_from_sizes(sizes)
         busiest = max(sphere_min_energy(part, i, e_recv, e_send) for i in range(1, part.k + 1))
         iterations = rng.randint(3 * longest_layer, span)
         battery = round(iterations * busiest) / 1000  # whole mJ: lasts at most `iterations`
@@ -336,7 +339,7 @@ def test_all_strategies_stay_within_bounds_on_random_networks():
             assert verdict.upper_margin >= 0
 
 
-coefficients = st.sampled_from((0, "0.12", "3.54", "4.03")) | st.fractions(min_value=0, max_value=20, max_denominator=1000)
+coefficients = st.sampled_from((0, Fraction("0.12"), Fraction("3.54"), Fraction("4.03"))) | st.fractions(min_value=0, max_value=20, max_denominator=1000)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
@@ -355,7 +358,7 @@ def test_bounds_bracket_every_run(n, graph_seed, irregular, coefficients, payloa
     rng = random.Random(graph_seed)
     topo = (irregular_topology if irregular else random_connected_topology)(rng, n)
     part = partition(topo)
-    model = EnergyModel(*coefficients, 18, 11)
+    model = EnergyModel(*coefficients, 18)
     config = SimConfig(strategy=strategy, payload_bytes=payload, battery_joules=battery, max_iterations=cap, seed=seed)
     result = simulate(topo, part, model, config)
     try:
@@ -387,7 +390,7 @@ def test_simulate_matches_the_reference_stepper_on_any_input(
     rng = random.Random(graph_seed)
     topo = (irregular_topology if irregular else random_connected_topology)(rng, n)
     part = partition(topo)
-    model = EnergyModel(*coefficients, 18, 11)
+    model = EnergyModel(*coefficients, 18)
     if spent_in is not None:
         receives = iteration_receives(strategy, topo, part, seed)
         received = Counter()
@@ -405,7 +408,7 @@ def test_simulate_matches_the_reference_stepper_on_any_input(
 def test_balanced_rotating_touches_upper_bound_when_shares_divide():
     # sphere loads divide evenly in the 29-node layering, so the rotation
     # achieves the analytical optimum exactly
-    topo = example29()
+    topo = layered_topology((1, 4, 6, 10, 8))
     part = partition(topo)
     result = simulate(topo, part, MODEL, SimConfig(battery_joules=50.0, seed=9))
     report = lifetime_bounds(part, MODEL, 2, 50.0, 10)
@@ -425,7 +428,7 @@ def test_per_sphere_average_load_at_least_analytical_minimum():
 
 def test_spend_too_large_for_a_float_is_an_error():
     # each leaf spends 1e308 mJ an iteration, 5e308 over the capped run
-    huge = EnergyModel(0, 1e308, 0, 1e308, 18, 11)
+    huge = EnergyModel(0, 1e308, 0, 1e308, 18)
     config = SimConfig(battery_joules=1e308, max_iterations=5)
     with pytest.raises(Error, match="too large to report"):
         simulate(STAR, partition(STAR), huge, config)

@@ -1,22 +1,20 @@
+import itertools
 import json
 import random
 
 import pytest
 
-import wsnlife.topology
-from helpers import hop_distances_oracle, random_connected_topology
-from wsnlife.fixtures import example29, fixture_path, layered_topology
+from helpers import edge_pairs, hop_distances_oracle, partition_from_sizes, random_connected_topology, save_topology
+from wsnlife.fixtures import fixture_path, layered_topology
 from wsnlife.topology import (
     EmptyTopology,
     SpherePartition,
     Topology,
     TopologyError,
     UnreachableNode,
-    canonical_edge,
     load_topology,
     node_key,
     partition,
-    save_topology,
     topology_from_dict,
 )
 
@@ -42,7 +40,7 @@ def test_three_node_chain():
 
 
 def test_worked_example_layer_sizes():
-    part = partition(example29())
+    part = partition(layered_topology((1, 4, 6, 10, 8)))
     assert part.sizes == (1, 4, 6, 10, 8)
     assert part.cumulative == (1, 5, 11, 21, 29)
     assert part.total == 29
@@ -55,7 +53,7 @@ def test_partition_independent_of_input_order():
     rng = random.Random(7)
     topo = random_connected_topology(rng, 18)
     nodes = list(topo.nodes)
-    edges = [list(e) for e in topo.edges]
+    edges = [list(e) for e in edge_pairs(topo)]
     results = []
     for _ in range(5):
         rng.shuffle(nodes)
@@ -87,7 +85,7 @@ def test_sphere_structure_invariants():
         topo = random_connected_topology(rng, rng.randint(2, 30))
         part = partition(topo)
         adj = {v: set() for v in topo.nodes}
-        for a, b in topo.edges:
+        for a, b in edge_pairs(topo):
             adj[a].add(b)
             adj[b].add(a)
         assert sum(part.sizes) == part.total == len(topo.nodes)
@@ -103,16 +101,29 @@ def test_sphere_structure_invariants():
 
 def test_neighbors_list_each_edge_once_in_each_direction():
     rng = random.Random(12)
-    topologies = [random_connected_topology(rng, rng.randint(1, 30)) for _ in range(20)]
-    topologies.append(Topology(nodes=[3, 1, 2], edges=[[2, 1], [3, 2]], base=1))
-    for topo in topologies:
+    cases = []
+    for _ in range(20):
+        topo = random_connected_topology(rng, rng.randint(1, 30))
+        cases.append((sorted(topo.nodes), edge_pairs(topo), topo.base))
+    for _ in range(20):  # int and str ids together
+        names = rng.sample([1, 2, 10, 33, "a", "b", "B", "x10", "10x"], rng.randint(1, 9))
+        pairs = list(itertools.combinations(names, 2))
+        cases.append((names, rng.sample(pairs, rng.randint(0, len(pairs))), names[0]))
+    cases.append(([3, 1, 2], [(2, 1), (3, 2)], 1))
+    for nodes, pairs, base in cases:
+        pairs = [pair[::-1] if rng.random() < 0.5 else pair for pair in rng.sample(pairs, len(pairs))]
+        topo = Topology(nodes=nodes, edges=pairs, base=base)
         assert topo.neighbors.keys() == topo.nodes
         arcs = sorted((node_key(v), node_key(u)) for v, adjacent in topo.neighbors.items() for u in adjacent)
-        both_ways = sorted((node_key(x), node_key(y)) for a, b in topo.edges for x, y in ((a, b), (b, a)))
+        both_ways = sorted((node_key(x), node_key(y)) for a, b in pairs for x, y in ((a, b), (b, a)))
         assert arcs == both_ways
-    # derived from the edges, so it plays no part in equality or hashing
+        # the document lists each edge once, smaller key first, sorted by key ("10" < "2" < "a")
+        expected = sorted((sorted(pair, key=str) for pair in pairs), key=lambda e: [str(v) for v in e])
+        assert topo.to_dict()["edges"] == expected
+    # neighbours are stored in the order given, and a topology compares by its document
+    given = Topology(nodes=[3, 1, 2], edges=[[2, 1], [3, 2]], base=1)
     reordered = Topology(nodes=[1, 2, 3], edges=[[3, 2], [1, 2]], base=1)
-    assert reordered == topologies[-1] and hash(reordered) == hash(topologies[-1])
+    assert reordered.to_dict() == given.to_dict() == {"nodes": [1, 2, 3], "edges": [[1, 2], [2, 3]], "base": 1}
 
 
 def test_unreachable_node_is_an_error_naming_the_node():
@@ -166,7 +177,7 @@ def test_from_spheres_rejects_overlap_and_empty():
 
 
 def test_from_sizes_builds_consistent_partition():
-    part = SpherePartition.from_sizes((1, 4, 6, 10, 8))
+    part = partition_from_sizes((1, 4, 6, 10, 8))
     assert part.sizes == (1, 4, 6, 10, 8)
     assert part.cumulative == (1, 5, 11, 21, 29)
     assert part.total == 29
@@ -181,36 +192,22 @@ def test_layered_topology_rejects_bad_sizes():
 
 def test_load_bundled_fixture():
     topo = load_topology(fixture_path("example-29node.topology.json"))
-    assert topo == example29()
+    assert topo.to_dict() == layered_topology((1, 4, 6, 10, 8)).to_dict()
 
 
 def test_topology_file_roundtrip(tmp_path):
     topo = layered_topology((1, 3, 2))
     path = tmp_path / "net.topology.json"
     save_topology(topo, path)
-    assert load_topology(path) == topo
+    assert load_topology(path).to_dict() == topo.to_dict()
 
 
 def test_topology_file_roundtrip_with_mixed_ids(tmp_path):
     topo = make({"B", 1, 10, 2, "x"}, {("B", 1), ("B", "x"), (1, 10), (2, "x")}, "B")
     path = tmp_path / "mixed.topology.json"
     save_topology(topo, path)
-    assert load_topology(path) == topo
+    assert load_topology(path).to_dict() == topo.to_dict()
     assert json.loads(path.read_text())["edges"] == [[1, 10], [1, "B"], [2, "x"], ["B", "x"]]
-
-
-def test_loading_canonicalizes_each_edge_once(monkeypatch):
-    calls = []
-
-    def counting(a, b):
-        calls.append((a, b))
-        return canonical_edge(a, b)
-
-    monkeypatch.setattr(wsnlife.topology, "canonical_edge", counting)
-    nodes = ["B"] + [f"v{i:03d}" for i in range(100)]
-    edges = [[nodes[i + 1], nodes[i // 2]] for i in range(100)]
-    topo = topology_from_dict({"nodes": nodes, "edges": edges, "base": "B"})
-    assert len(calls) == len(topo.edges) == 100
 
 
 def test_topology_file_rejects_unknown_fields():
@@ -221,7 +218,11 @@ def test_topology_file_rejects_unknown_fields():
 
 def test_topology_file_rejects_duplicate_edges():
     doc = {"nodes": ["B", "a"], "edges": [["B", "a"], ["a", "B"]], "base": "B"}
-    with pytest.raises(TopologyError, match="duplicate edge"):
+    with pytest.raises(TopologyError, match=r"^duplicate edge \['B', 'a'\]$"):
+        topology_from_dict(doc)
+    # a reversed pair of an int and a str id is listed in key order, "1" < "x"
+    doc = {"nodes": ["B", 1, "x"], "edges": [["B", 1], [1, "x"], ["x", 1]], "base": "B"}
+    with pytest.raises(TopologyError, match=r"^duplicate edge \[1, 'x'\]$"):
         topology_from_dict(doc)
 
 
