@@ -3,12 +3,18 @@
 Commands: partition, bounds, simulate, calibrate, sweep.  Structured output
 is canonical JSON (sorted keys, two-space indent), so identical invocations
 are byte-identical.
+
+``bounds``, ``simulate`` and ``sweep`` read their inputs in one order, so the
+first bad input is the one reported: the topology, its partition, the model
+(``--profile``, then ``--frame-preset``), the ``--strategies`` and ``--seeds``
+of a sweep, the run configurations, then the bounds.
 """
 
 import argparse
 import csv
 import os
 import sys
+from itertools import product
 from pathlib import Path
 
 from . import __version__
@@ -39,10 +45,14 @@ SCHEMA_VERSION = 1
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "output", None):
+    if args.output:
         Path(args.output).write_text(text + "\n")
     else:
         print(text)
+
+
+def _emit_document(args, kind: str, body: dict) -> None:
+    _emit(args, dumps_canonical({"schema_version": SCHEMA_VERSION, "kind": kind, **body}))
 
 
 def _resolve_file(spec: str, kind: str):
@@ -57,10 +67,6 @@ def _resolve_file(spec: str, kind: str):
     raise Error(f"{kind} file {spec!r} not found (bundled fixtures: {bundled})")
 
 
-def _resolve_topology(spec: str):
-    return load_topology(_resolve_file(spec, "topology"))
-
-
 def _resolve_profile(spec: str):
     """Preset, profile file or bundled file name -> (RadioProfile, embedded FrameConfig | None)."""
     if spec in PROFILE_PRESETS:
@@ -72,15 +78,25 @@ def _resolve_profile(spec: str):
     return load_profile(path)
 
 
-def _build_model_from_args(args):
+def _network(args):
+    """The topology, its partition and the energy model that the flags name."""
+    topo = load_topology(_resolve_file(args.topology, "topology"))
+    part = partition(topo)
     profile, embedded_frame = _resolve_profile(args.profile)
     if args.frame_preset is not None:
         frame = frame_preset(args.frame_preset)
-    elif embedded_frame is not None:
-        frame = embedded_frame
     else:
-        frame = frame_preset("paper-tinyos")
-    return build_model(profile, frame)
+        frame = embedded_frame or frame_preset("paper-tinyos")
+    return topo, part, build_model(profile, frame)
+
+
+def _runs(args, part, model, runs):
+    """One ``SimConfig`` per (strategy, seed) of ``runs``, then the bounds report they all share."""
+    configs = [
+        SimConfig(strategy, args.payload, args.battery, args.max_iterations, seed)
+        for strategy, seed in runs
+    ]
+    return configs, lifetime_bounds(part, model, args.payload, args.battery, args.interval)
 
 
 def _fmt_mj(x) -> str:
@@ -88,11 +104,9 @@ def _fmt_mj(x) -> str:
 
 
 def cmd_partition(args) -> int:
-    topo = _resolve_topology(args.topology)
-    part = partition(topo)
+    part = partition(load_topology(_resolve_file(args.topology, "topology")))
     if args.format == "structured":
-        doc = {"schema_version": SCHEMA_VERSION, "kind": "partition", **part.to_dict()}
-        _emit(args, dumps_canonical(doc))
+        _emit_document(args, "partition", part.to_dict())
     else:
         sizes = ",".join(str(s) for s in part.sizes)
         cumulative = ",".join(str(b) for b in part.cumulative)
@@ -101,13 +115,10 @@ def cmd_partition(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    topo = _resolve_topology(args.topology)
-    part = partition(topo)
-    model = _build_model_from_args(args)
-    report = lifetime_bounds(part, model, args.payload, args.battery, args.interval)
+    _, part, model = _network(args)
+    _, report = _runs(args, part, model, ())
     if args.format == "structured":
-        doc = {"schema_version": SCHEMA_VERSION, "kind": "lifetime-bounds", **report.to_dict()}
-        _emit(args, dumps_canonical(doc))
+        _emit_document(args, "lifetime-bounds", report.to_dict())
     else:
         sizes = ",".join(str(s) for s in part.sizes)
         minima = "  ".join(
@@ -148,17 +159,8 @@ def _make_trace_writer(topo, model, config, stream):
 def cmd_simulate(args) -> int:
     if args.format == "trace" and args.trace:
         raise Error("--trace and --format trace both name the trace; use -o to write it to a file")
-    topo = _resolve_topology(args.topology)
-    part = partition(topo)
-    model = _build_model_from_args(args)
-    config = SimConfig(
-        strategy=args.strategy,
-        payload_bytes=args.payload,
-        battery_joules=args.battery,
-        max_iterations=args.max_iterations,
-        seed=args.seed,
-    )
-    report = lifetime_bounds(part, model, args.payload, args.battery, args.interval)
+    topo, part, model = _network(args)
+    [config], report = _runs(args, part, model, [(args.strategy, args.seed)])
 
     # --format trace writes the trace where -o says, or to stdout
     trace_path = args.output if args.format == "trace" else args.trace
@@ -174,13 +176,7 @@ def cmd_simulate(args) -> int:
     verdict = validate_against_bounds(result, report)
 
     if args.format == "structured":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "simulation",
-            "result": result.to_dict(),
-            "verdict": verdict.to_dict(),
-        }
-        _emit(args, dumps_canonical(doc))
+        _emit_document(args, "simulation", {"result": result.to_dict(), "verdict": verdict.to_dict()})
     elif args.format == "table":
         dead = "none" if result.first_dead is None else node_key(result.first_dead)
         if result.first_dead is not None:
@@ -209,7 +205,7 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def _sweep_worker(topo, part, model, config, report):
+def _sweep_row(topo, part, model, config, report):
     result = simulate(topo, part, model, config)
     row = {
         "strategy": config.strategy,
@@ -246,33 +242,15 @@ def _parse_seeds(spec: str):
 
 
 def cmd_sweep(args) -> int:
-    topo = _resolve_topology(args.topology)
-    part = partition(topo)
-    model = _build_model_from_args(args)
+    topo, part, model = _network(args)
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     if not strategies:
         raise Error(f"no strategies in {args.strategies!r}")
-    seeds = _parse_seeds(args.seeds)
+    configs, report = _runs(args, part, model, product(strategies, _parse_seeds(args.seeds)))
+    rows = [_sweep_row(topo, part, model, config, report) for config in configs]
 
-    configs = [
-        SimConfig(
-            strategy=strategy,
-            payload_bytes=args.payload,
-            battery_joules=args.battery,
-            max_iterations=args.max_iterations,
-            seed=seed,
-        )
-        for strategy in strategies
-        for seed in seeds
-    ]
-    # the bounds depend on nothing that varies between runs
-    report = lifetime_bounds(part, model, args.payload, args.battery, args.interval)
-    rows = [_sweep_worker(topo, part, model, config, report) for config in configs]
-
-    violations = [r for r in rows if r["violation"]]
     if args.format == "structured":
-        doc = {"schema_version": SCHEMA_VERSION, "kind": "sweep", "runs": rows}
-        _emit(args, dumps_canonical(doc))
+        _emit_document(args, "sweep", {"runs": rows})
     else:
         lines = []
         for r in rows:
@@ -285,7 +263,7 @@ def cmd_sweep(args) -> int:
                 f"first dead {dead}{note}"
             )
         _emit(args, "\n".join(lines))
-    return 1 if violations else 0
+    return 1 if any(r["violation"] for r in rows) else 0
 
 
 def _add_output_options(parser, formats=("structured", "table")):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import Error, fields, labelled, read_json
-from .exact import as_exact, exact_number, to_float
+from .exact import exact_number, to_float
 from .frame_model import (
     FRAME_PRESETS,
     FrameConfig,
@@ -93,7 +93,8 @@ class EnergyModel:
 
     def __post_init__(self):
         for attr in ("m_send", "b_send", "m_receive", "b_receive"):
-            object.__setattr__(self, attr, as_exact(getattr(self, attr)))
+            object.__setattr__(self, attr, _energy(attr, getattr(self, attr)))
+        byte_count("overhead_bytes", self.overhead_bytes, ProfileError)
 
 
 def build_model(profile: RadioProfile, frame: FrameConfig) -> EnergyModel:

@@ -181,6 +181,41 @@ def test_unknown_strategy_is_an_input_error(capsys):
     assert err == f"error: unknown strategy 'teleport' (available: {', '.join(STRATEGIES)})\n"
 
 
+TOPOLOGY_MISSING = (
+    "topology file 'missing.json' not found "
+    "(bundled fixtures: example-29node.topology.json, single-node.topology.json)"
+)
+PROFILE_MISSING = (
+    "profile file 'nope' not found (bundled fixtures: cc2420-paper.profile.json); "
+    "profile presets: cc2420-paper"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("sweep", "missing.json", "--strategies", ","), TOPOLOGY_MISSING),
+        (("sweep", FIXTURE_29, "--profile", "nope", "--seeds", "x"), PROFILE_MISSING),
+        (("sweep", FIXTURE_29, "--seeds", "x", "--strategies", ","), "no strategies in ','"),
+        (("sweep", FIXTURE_29, "--strategies", "teleport", "--battery", "1e308"),
+         f"unknown strategy 'teleport' (available: {', '.join(STRATEGIES)})"),
+        (("simulate", FIXTURE_29, "--profile", "nope", "--max-iterations", "0"), PROFILE_MISSING),
+        (("simulate", FIXTURE_29, "--max-iterations", "0", "--battery", "1e308"), "max_iterations must be >= 1"),
+        (("bounds", "missing.json", "--profile", "nope"), TOPOLOGY_MISSING),
+    ],
+    ids=[
+        "topology-before-strategies", "profile-before-seeds", "strategies-before-seeds",
+        "config-before-bounds", "profile-before-config", "config-before-bounds-simulate", "topology-before-profile",
+    ],
+)
+def test_the_first_bad_input_is_the_one_reported(capsys, argv, message):
+    # inputs are read in one order: topology, partition, model, strategies, seeds, run configs, bounds
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_negative_payload_is_an_input_error(capsys):
     code, out, err = run_cli(capsys, "bounds", FIXTURE_29, "--payload", "-1")
     assert code == 2

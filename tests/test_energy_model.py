@@ -1,3 +1,4 @@
+import re
 import time
 from contextlib import nullcontext
 from decimal import Decimal
@@ -149,6 +150,23 @@ def test_profile_validation():
         send_energy(cc2420_model(), -1)
     with pytest.raises(ProfileError):
         send_energy(cc2420_model(), 2.5)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((-1, 0, 0, 0, 18), "m_send must be >= 0"),
+        ((0, 0, 0, Fraction(-1, 100), 18), "b_receive must be >= 0"),
+        ((float("inf"), 0, 0, 0, 18), "m_send must be finite"),
+        ((0, float("nan"), 0, 0, 18), "b_send must be finite"),
+        ((0, 0, True, 0, 18), "m_receive must be a number, got True"),
+        ((0, 0, 0, 0, 18.0), "overhead_bytes must be a non-negative integer, got 18.0"),
+        ((0, 0, 0, 0, -1), "overhead_bytes must be a non-negative integer, got -1"),
+    ],
+)
+def test_energy_model_checks_its_coefficients_like_a_profile(args, message):
+    with pytest.raises(ProfileError, match=f"^{re.escape(message)}$"):
+        EnergyModel(*args)
 
 
 def test_preset_lookup():

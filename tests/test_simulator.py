@@ -540,6 +540,10 @@ def test_config_validation():
         SimConfig(battery_joules=0)
     with pytest.raises(SimulationError):
         SimConfig(max_iterations=0)
+    with pytest.raises(SimulationError, match=r"^max_iterations must be a non-negative integer, got 2\.5$"):
+        SimConfig(max_iterations=2.5)
+    with pytest.raises(SimulationError, match=r"^max_iterations must be a non-negative integer, got True$"):
+        SimConfig(max_iterations=True)
     with pytest.raises(SimulationError):
         SimConfig(payload_bytes=-1)
     with pytest.raises(SimulationError):
