@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .energy_model import EnergyModel, receive_energy, send_energy
-from .errors import Error
+from .errors import Error, labelled
 from .exact import as_exact, exact_number, to_float
 from .topology import SpherePartition
 
@@ -140,17 +140,26 @@ def lifetime_bounds(
     t_upper = battery_mj / m_max
     it_lower = math.floor(t_lower)
     it_upper = math.floor(t_upper)
+    # the report's floats, in field order; one too large for a float names the input it grew from
+    per_sphere_min = tuple(to_float("sphere load minimum", m) for m in per_sphere)
+    worst_mj = to_float("worst-case node energy", worst)
+    with labelled("battery_joules"):
+        t_max_lower = to_float("lower bound on T_max", t_lower)
+        t_max_upper = to_float("upper bound on T_max", t_upper)
+    with labelled("interval_s"):
+        lifetime_lower_hours = to_float("lower lifetime", it_lower * interval / 3600)
+        lifetime_upper_hours = to_float("upper lifetime", it_upper * interval / 3600)
 
     return BoundsReport(
-        per_sphere_min=tuple(to_float("sphere load minimum", m) for m in per_sphere),
+        per_sphere_min=per_sphere_min,
         binding_sphere=binding,
-        worst_case_node_energy=to_float("worst-case node energy", worst),
-        t_max_lower=to_float("lower bound on T_max", t_lower),
-        t_max_upper=to_float("upper bound on T_max", t_upper),
+        worst_case_node_energy=worst_mj,
+        t_max_lower=t_max_lower,
+        t_max_upper=t_max_upper,
         t_max_lower_iterations=it_lower,
         t_max_upper_iterations=it_upper,
-        lifetime_lower_hours=to_float("lower lifetime", it_lower * interval / 3600),
-        lifetime_upper_hours=to_float("upper lifetime", it_upper * interval / 3600),
+        lifetime_lower_hours=lifetime_lower_hours,
+        lifetime_upper_hours=lifetime_upper_hours,
         battery_joules=battery_joules,
         payload_bytes=payload_bytes,
         interval_s=interval_s,

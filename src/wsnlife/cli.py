@@ -14,6 +14,7 @@ import argparse
 import csv
 import os
 import sys
+import warnings
 from itertools import product
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .energy_model import (
     profile_preset,
     profile_to_dict,
 )
-from .errors import Error, dumps_canonical
+from .errors import Error, dumps_canonical, labelled
 from .exact import round_half_up, to_float
 from .fixtures import FIXTURE_FILES, fixture_path
 from .frame_model import FRAME_PRESETS, frame_preset
@@ -195,12 +196,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    slots = load_readings(_resolve_file(args.readings, "readings"))
-    profile = profile_from_readings(
-        round_like_paper=args.round_like_paper,
-        name=args.name,
-        **slots,
-    )
+    path = _resolve_file(args.readings, "readings")
+    slots = load_readings(path)
+    with labelled(path):  # a calibrated energy too large for a float grew from this file's readings
+        profile = profile_from_readings(round_like_paper=args.round_like_paper, name=args.name, **slots)
     _emit(args, dumps_canonical(profile_to_dict(profile)))
     return 0
 
@@ -353,28 +352,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args):
+    """Run the command: its exit code and the line to print on stderr, if any."""
     try:
         code = args.func(args)
         sys.stdout.flush()  # so a closed stdout fails here, not at interpreter exit
-        return code
+        return code, None
     except BrokenPipeError:  # stdout's reader has gone: write nothing more
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the final flush cannot fail
-        return 141  # 128 + SIGPIPE
+        return 141, None  # 128 + SIGPIPE
     except OSError as exc:  # a file named on the command line cannot be read or written
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2, f"error: {exc}"
     except BoundViolation as exc:
-        print(f"bound violation: {exc}", file=sys.stderr)
-        return 1
+        return 1, f"bound violation: {exc}"
     except Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2, f"error: {exc}"
     except Exception as exc:  # a defect, not bad input: keep exit 1 for bound violations
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return 3, f"internal error: {type(exc).__name__}: {exc}"
+
+
+def main(argv=None) -> int:
+    """Run a command; its warnings go to stderr as ``warning:`` lines, each
+    distinct message once, before the line of any error, and leave the exit code alone."""
+    args = build_parser().parse_args(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)  # a warning for the user, such as FrameLengthWarning
+        code, line = _run(args)
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    if line:
+        print(line, file=sys.stderr)
+    return code
 
 
 def entry() -> None:

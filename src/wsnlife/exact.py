@@ -14,9 +14,12 @@ or a float API argument -- is read at its shortest round-trip decimal form,
 i.e. ``0.12`` means 12/100, not the 53-bit binary neighbour.  No string is
 taken as a number.  A decimal whose exponent is beyond ±4300 is rejected
 here, where it would become exact: ``1e10000000`` is exact only as an int
-of ten million digits.
+of ten million digits.  So is a decimal too large for a float, such as
+``1e400``, which no report could hold: it is rejected where it is read, by
+the name of its field, not later by the name of a result.
 """
 
+import math
 from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 
@@ -27,7 +30,8 @@ MAX_EXPONENT = 4300  # Python reads no integer literal of more digits than this
 
 def as_exact(x: int | float | Decimal | Fraction, what: str = "number", error: type[Error] = Error) -> Fraction:
     """Exact rational value of ``x``; ``error`` naming ``what`` if ``x`` is
-    infinite, NaN, or a decimal of an exponent beyond ±``MAX_EXPONENT``."""
+    infinite, NaN, or a decimal of an exponent beyond ±``MAX_EXPONENT`` or
+    too large for a float."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -40,6 +44,8 @@ def as_exact(x: int | float | Decimal | Fraction, what: str = "number", error: t
             raise error(f"{what} must be finite")
         if abs(d.adjusted()) > MAX_EXPONENT:
             raise error(f"{what} is out of range: its exponent is beyond ±{MAX_EXPONENT}")
+        if math.isinf(float(d)):
+            raise error(f"{what} is out of range: it is too large for a float")
         return Fraction(d)
     raise TypeError(f"not a number: {x!r}")
 

@@ -23,13 +23,14 @@ instead of depending on float summation order: the per-packet energies and
 the battery are rationals, and the run counts drain in integer multiples
 of their common denominator.  Each node transmits what it receives plus
 its own packet, so its drain after t iterations is t * E(send) + R(t) *
-(E(receive) + E(send)), where R(t) is its cumulative receive count.  Each
-workload kind has one per-iteration rule, every battery node's receives at
-iteration i; it decides who dies at the end of the run, and the trace
-replays it.  The members of a ``balanced-rotating`` sphere take turns at
+(E(receive) + E(send)), where R(t) is its cumulative receive count.
+Every strategy's workload has one shape: its battery nodes, one
+per-iteration rule (their receives at iteration i, which decides who dies
+at the end of the run and which the trace replays), and one search for the
+run's end.  The members of a ``balanced-rotating`` sphere take turns at
 one workload, and the member whose turn starts the period dies no later
-than the others, so one search per sphere finds the run's end: skip the
-whole periods that member's battery covers, then bisect within one period.
+than the others, so the search needs that member alone, once per sphere:
+skip the whole periods its battery covers, then bisect within one period.
 The graph strategies send each node's packets to its parents in turn (one
 parent under ``static-tree``), so a node's receives depend on the cycles
 of every node upstream of it.  Their battery nodes are indexed once,
@@ -44,6 +45,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from operator import add
 from typing import NamedTuple
 
@@ -170,33 +172,56 @@ class Rotation(NamedTuple):
         size = len(self.members)
         return [self.share + ((pos - i) % size < self.remainder) for pos in range(size)]
 
+    def lifetime(self, cap: int, budget: int, drain) -> int:
+        """Iterations the leader completes before its battery runs out, at most ``cap``."""
+        size = len(self.members)
+
+        def leader_drain(t: int) -> int:
+            return drain(t, self.received(self.leader, t))
+
+        per_period = leader_drain(size)
+        if not per_period:
+            return cap
+        whole, left = divmod(budget, per_period)
+        # offset 0 always fits what is left and offset `size` never does, so
+        # the death offset is the number of offsets in [1, size) that fit
+        fits = bisect_right(range(1, size), left, key=leader_drain)
+        return min(cap, whole * size + fits)
+
 
 def build_workload(strategy: str, topology: Topology, partition: SpherePartition, seed: int):
-    """The workload of a strategy: who receives how many packets at each iteration.
+    """The workload of a strategy: ``(order, receives, search)``, one shape for all three.
 
-    Under ``balanced-rotating`` it is one ``Rotation`` per sphere, its
-    members shuffled, and ``Rotation.receives(i)`` gives their receive
-    counts at iteration ``i``.  Under the graph strategies each node cycles through
-    its parents, one per iteration (all inner neighbours shuffled, or one of
-    them under ``static-tree``), and the workload is ``(order, period,
-    receives)``: the battery nodes, outermost sphere first and each sphere in
-    ``node_key`` order; the period of the counts, the lcm of the cycle
-    lengths; and ``receives(i)``, the nodes' receive counts at iteration
-    ``i`` as a list in ``order``.  Each node transmits one more than it
-    receives.  Both rules are pure functions of the iteration index.
+    ``order`` lists the battery nodes; ``receives(i)``, a pure function of
+    the iteration index, gives their receive counts at iteration ``i`` as a
+    list in ``order`` (each node transmits one more); ``search(cap, budget,
+    drain)`` returns ``(completed, received)``: the iterations completed
+    before the first death or the cap, and each node's receives over them.
+    ``drain(t, r)`` is what ``t`` iterations with ``r`` receives cost, in
+    the units of ``budget``.  Under ``balanced-rotating`` each sphere,
+    innermost first, is one ``Rotation`` of shuffled members, and ``search``
+    takes the least of their lifetimes.  Under the graph strategies each
+    node cycles through its parents, one per iteration (all inner neighbours
+    shuffled, or one under ``static-tree``); the spheres come outermost
+    first, each in ``node_key`` order, and ``search`` steps the schedule,
+    whose period is the lcm of the cycle lengths.
     """
     rng = random.Random(seed)
-    n_total = partition.total
     spheres = [sorted(sphere, key=node_key) for sphere in partition.spheres]
 
     if strategy == "balanced-rotating":
         rotations = []
         for j in range(1, partition.k + 1):
-            members = spheres[j]
-            rng.shuffle(members)
-            inflow = n_total - partition.cumulative[j]
-            rotations.append(Rotation(members, *divmod(inflow, len(members))))
-        return rotations
+            rng.shuffle(spheres[j])
+            inflow = partition.total - partition.cumulative[j]
+            rotations.append(Rotation(spheres[j], *divmod(inflow, partition.sizes[j])))
+
+        def search(cap: int, budget: int, drain):
+            completed = min((rotation.lifetime(cap, budget, drain) for rotation in rotations), default=cap)
+            return completed, [r.received(pos, completed) for r in rotations for pos in range(len(r.members))]
+
+        order = [v for rotation in rotations for v in rotation.members]
+        return order, lambda i: [r for rotation in rotations for r in rotation.receives(i)], search
 
     order = [v for sphere in reversed(spheres[1:]) for v in sphere]  # battery nodes, outermost sphere first
     index = {v: i for i, v in enumerate(order + spheres[0])}  # the base takes the slot after the last node
@@ -227,7 +252,7 @@ def build_workload(strategy: str, topology: Topology, partition: SpherePartition
         del received[-1]  # the base's
         return received
 
-    return order, period, receives
+    return order, receives, partial(_step_shared_schedule, order, period, receives)
 
 
 def _step_shared_schedule(order, period, receives, cap, budget, drain):
@@ -306,7 +331,7 @@ def simulate(
     tracing does not change how the run is computed.
     """
     _check_partition(topology, partition)
-    workload = build_workload(config.strategy, topology, partition, config.seed)
+    order, receives, search = build_workload(config.strategy, topology, partition, config.seed)
 
     cost, budget, scale = iteration_cost(model, config)
     relay, own = cost(1, 1), cost(0, 1)  # per relayed packet; per iteration, own packet
@@ -316,33 +341,7 @@ def simulate(
         return t * own + received * relay
 
     cap = config.max_iterations
-
-    def lifetime(rotation: Rotation) -> int:
-        """Iterations the rotation's leader completes before its battery runs out, at most cap."""
-        size = len(rotation.members)
-
-        def leader_drain(t: int) -> int:
-            return drain(t, rotation.received(rotation.leader, t))
-
-        per_period = leader_drain(size)
-        if not per_period:
-            return cap
-        whole, left = divmod(budget, per_period)
-        # offset 0 always fits what is left and offset `size` never does, so
-        # the death offset is the number of offsets in [1, size) that fit
-        fits = bisect_right(range(1, size), left, key=leader_drain)
-        return min(cap, whole * size + fits)
-
-    if config.strategy == "balanced-rotating":
-        completed = min(map(lifetime, workload), default=cap)
-        order = [v for rotation in workload for v in rotation.members]
-        received = [rotation.received(pos, completed) for rotation in workload for pos in range(len(rotation.members))]
-
-        def receives(i: int) -> list:
-            return [r for rotation in workload for r in rotation.receives(i)]
-    else:
-        order, _, receives = workload
-        completed, received = _step_shared_schedule(*workload, cap, budget, drain)
+    completed, received = search(cap, budget, drain)
     spent_by_node = {v: drain(completed, r) for v, r in zip(order, received)}
     # a node dies when one more iteration would overrun its battery; none does at the cap
     dying = [] if completed == cap else [
@@ -351,7 +350,7 @@ def simulate(
     first_dead = min(dying, key=node_key, default=None)
 
     # a network of only the base station has nothing to trace, however long it runs
-    if trace is not None and partition.total > 1:
+    if trace is not None and order:
         for i in range(completed):
             trace(i, dict(zip(order, receives(i))))
 

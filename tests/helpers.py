@@ -129,18 +129,24 @@ def random_partition(rng: random.Random, max_total: int = 50) -> SpherePartition
 def iteration_receives(strategy: str, topology: Topology, partition: SpherePartition, seed: int):
     """``receives(i)``: each battery node's receive count at iteration ``i``, as a dict.
 
-    Under ``balanced-rotating`` the rotation rule is written out again here,
-    from the workload's members, share and remainder alone, so that the
-    simulator's ``Rotation`` is checked against a separate statement of it.
+    Under ``balanced-rotating`` the rotation rule is written out again here
+    from the partition and the workload's node order alone: sphere ``j``'s
+    members are the next ``s_j`` nodes of ``order``, innermost sphere first,
+    and they share the ``N - b_j`` packets from outside their ball, so that
+    the simulator's ``Rotation`` is checked against a separate statement of it.
     """
-    workload = build_workload(strategy, topology, partition, seed)
+    order, receives, _ = build_workload(strategy, topology, partition, seed)
     if strategy != "balanced-rotating":
-        order, _, receives = workload
         return lambda i: dict(zip(order, receives(i)))
+    spheres = []
+    start = 0
+    for j, size in enumerate(partition.sizes[1:], 1):
+        spheres.append((order[start:start + size], *divmod(partition.total - partition.cumulative[j], size)))
+        start += size
 
     def rotating(i: int) -> dict:
         out = {}
-        for members, share, remainder in workload:
+        for members, share, remainder in spheres:
             size = len(members)
             # the members at positions i, i + 1, ..., i + remainder - 1 (mod size) take one more
             extra = {members[(i + k) % size] for k in range(remainder)}

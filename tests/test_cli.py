@@ -5,7 +5,6 @@ import shutil
 import subprocess
 import sys
 import textwrap
-import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -21,7 +20,6 @@ from wsnlife.calibration import load_readings, profile_from_readings
 from wsnlife.cli import main
 from wsnlife.energy_model import CC2420_PAPER, load_profile
 from wsnlife.fixtures import fixture_path
-from wsnlife.frame_model import FrameLengthWarning
 from wsnlife.simulator import STRATEGIES
 from wsnlife.topology import Topology
 
@@ -103,13 +101,23 @@ def test_bounds_accepts_bundled_profile_name(capsys):
 
 
 def test_bounds_warns_when_the_payload_overflows_the_ppdu(capsys):
-    with pytest.warns(FrameLengthWarning, match="218 bytes"):  # 18 + 200
-        code, _, _ = run_cli(capsys, "bounds", FIXTURE_29, "--payload", "200")
-    assert code == 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, _, _ = run_cli(capsys, "bounds", FIXTURE_29, "--payload", "115")  # 133 bytes fit
-    assert code == 0
+    code, out, err = run_cli(capsys, "bounds", FIXTURE_29, "--payload", "200")
+    assert (code, err) == (0, "warning: data frame of 218 bytes exceeds the 133-byte PPDU\n")  # 18 + 200
+    assert "(payload 200 B)" in out
+    code, _, err = run_cli(capsys, "bounds", FIXTURE_29, "--payload", "115")  # 133 bytes fit
+    assert (code, err) == (0, "")
+
+
+def test_a_warning_is_printed_once_and_before_the_error(capsys):
+    # every run of a sweep costs the payload again, and warns again
+    code, _, err = run_cli(capsys, "sweep", FIXTURE_29, "--payload", "200", "--battery", "0.1", "--seeds", "0..2")
+    assert (code, err) == (0, "warning: data frame of 218 bytes exceeds the 133-byte PPDU\n")
+    code, out, err = run_cli(capsys, "simulate", FIXTURE_29, "--payload", "120", "--battery", "1e308")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "warning: data frame of 138 bytes exceeds the 133-byte PPDU",
+        "error: battery_joules: upper bound on T_max too large to report",
+    ]
 
 
 def test_node_ids_sharing_a_key_are_an_input_error(capsys, tmp_path):
@@ -371,6 +379,25 @@ def test_structured_output_is_byte_identical_across_runs(capsys):
     assert out1 == out2
 
 
+# the README quick-start outputs: sha256 of stdout, first 16 hex digits
+QUICK_START_SHA256 = {
+    ("partition", FIXTURE_29): "017c9430c3668577",
+    ("bounds", FIXTURE_29, "--payload", "2", "--battery", "30780", "--interval", "10"): "3b3d4f3a9b2b35fe",
+    ("simulate", FIXTURE_29, "--strategy", "round-robin-parent", "--battery", "50", "--seed", "3"): "0f260c504b82659d",
+    ("sweep", FIXTURE_29, "--battery", "5", "--seeds", "0..9"): "3c88ed8077de3cb0",
+    ("simulate", FIXTURE_29, "--battery", "0.5", "--format", "trace"): "0d4b3700f089fdbc",  # 253 lines
+}
+
+
+@pytest.mark.parametrize(
+    "argv", QUICK_START_SHA256, ids=["partition", "bounds", "simulate", "sweep", "trace"]
+)
+def test_quick_start_outputs_are_golden(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == QUICK_START_SHA256[argv]
+
+
 def test_sweep_table_lists_every_run(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", FIXTURE_29, "--battery", "5", "--seeds", "0,1",
@@ -474,9 +501,10 @@ def test_output_file_option(capsys, tmp_path):
     [
         (("bounds", "--battery", "inf"), "battery_joules must be finite"),
         (("bounds", "--interval", "inf"), "interval_s must be finite"),
-        (("bounds", "--battery", "1e308"), "lower bound on T_max too large to report"),
-        (("bounds", "--interval", "1e308"), "lower lifetime too large to report"),
-        (("simulate", "--battery", "1e308", "--max-iterations", "5"), "lower bound on T_max too large to report"),
+        (("bounds", "--battery", "1e308"), "battery_joules: lower bound on T_max too large to report"),
+        (("bounds", "--interval", "1e308"), "interval_s: lower lifetime too large to report"),
+        (("simulate", "--battery", "1e308", "--max-iterations", "5"),
+         "battery_joules: lower bound on T_max too large to report"),
         (("simulate", "--battery", "inf"), "battery_joules must be finite"),
         (("simulate", "--battery", "nan"), "battery_joules must be finite"),
         (("simulate", "--interval", "inf"), "interval_s must be finite"),
@@ -561,10 +589,29 @@ def test_number_with_a_runaway_exponent_is_an_input_error(capsys, tmp_path):
 
 @pytest.mark.parametrize("flags", CALIBRATE_SHA256, ids=["unrounded", "round-like-paper"])
 def test_calibrated_energy_beyond_the_float_range_is_an_input_error(capsys, tmp_path, flags):
+    # each reading fits a float, but their product does not
     path = tmp_path / "huge.readings.json"
-    path.write_text(fixture_path("cc2420.readings.json").read_text().replace('"v_scope": 2.92', '"v_scope": 2.92e400'))
+    text = fixture_path("cc2420.readings.json").read_text()
+    path.write_text(text.replace('"v_scope": 2.92', '"v_scope": 2.92e300').replace('"duration_ms": 96', '"duration_ms": 1e300'))
     code, out, err = run_cli(capsys, "calibrate", str(path), *flags)
-    assert (code, out, err) == (2, "", "error: calibrated energy too large to report\n")
+    assert (code, out, err) == (2, "", f"error: {path}: calibrated energy too large to report\n")
+
+
+@pytest.mark.parametrize(
+    ("fixture", "old", "new", "argv", "where"),
+    [
+        ("cc2420.readings.json", '"v_scope": 2.92', '"v_scope": 2.92e400', ("calibrate", "{path}"), "tx: v_scope"),
+        ("cc2420-paper.profile.json", '"m_tx": 0.12', '"m_tx": 1e400', ("bounds", FIXTURE_29, "--profile", "{path}"), "m_tx"),
+    ],
+    ids=["readings", "profile"],
+)
+def test_a_number_too_large_for_a_float_is_rejected_by_its_field(capsys, tmp_path, fixture, old, new, argv, where):
+    path = tmp_path / fixture
+    text = fixture_path(fixture).read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    result = run_cli(capsys, *(arg.format(path=path) for arg in argv))
+    assert result == (2, "", f"error: {path}: {where} is out of range: it is too large for a float\n")
 
 
 @pytest.mark.parametrize(
@@ -659,8 +706,9 @@ def _cli_argvs(draw):
 @given(_cli_argvs())
 def test_cli_flag_values_exit_0_or_2_never_3(argv):
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a payload beyond the PPDU only warns
+    with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     assert code in (0, 2) or (code == 1 and "bound violation: " in err.getvalue()), (code, err.getvalue())
     assert "Traceback" not in out.getvalue() + err.getvalue()
+    for line in err.getvalue().splitlines():  # a payload beyond the PPDU warns in the CLI's voice
+        assert line.startswith(("error: ", "warning: ", "bound violation: ")) and ".py:" not in line, line

@@ -36,6 +36,7 @@ from wsnlife.simulator import (
     STRATEGIES,
     BoundViolation,
     InvalidStrategyForTopology,
+    Rotation,
     SimConfig,
     SimResult,
     SimulationError,
@@ -302,8 +303,8 @@ def test_rotation_leader_receives_most_over_every_prefix():
         size, inflow = rng.randint(1, 12), rng.randint(0, 40)
         topo = layered_topology((1, size, inflow) if inflow else (1, size))
         seed = rng.randrange(1000)
-        rotation = build_workload("balanced-rotating", topo, partition(topo), seed)[0]
-        members = rotation.members
+        members = build_workload("balanced-rotating", topo, partition(topo), seed)[0][:size]
+        rotation = Rotation(members, *divmod(inflow, size))
         received = dict.fromkeys(members, 0)
         for t, receives in enumerate(traced_receives(topo, "balanced-rotating", seed, 2 * size), 1):
             for v in members:
